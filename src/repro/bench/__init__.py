@@ -8,11 +8,9 @@ admission latency and drain throughput, the elastic arm's cold
 renegotiate-and-group step and per-tick renegotiation latency, and
 the production-scale trace-replay path: CSV ingestion plus the batch
 event-driven harness, and the heterogeneous placement arm's
-throughput-aware-vs-default makespan ratio) and writes the results to
-``BENCH_grouping.json`` / ``BENCH_service.json`` /
-``BENCH_fleet.json`` / ``BENCH_elastic.json`` / ``BENCH_replay.json``
-/ ``BENCH_hetero.json`` at the repo root.
-Those files are committed; CI re-runs the quick suite and fails when a
+throughput-aware-vs-default makespan ratio) and writes one
+``BENCH_<suite>.json`` per :data:`~repro.bench.suite.SUITES` row
+(:func:`~repro.bench.suite.run_suite`) at the repo root.  Those files are committed; CI re-runs the quick suite and fails when a
 gated metric regresses more than the tolerance
 (``tools/diff_metrics.py --bench``).
 
@@ -26,41 +24,21 @@ procedure.
 """
 
 from repro.bench.suite import (
-    ELASTIC_BENCH_FILE,
-    FLEET_BENCH_FILE,
-    GROUPING_BENCH_FILE,
-    HETERO_BENCH_FILE,
-    REPLAY_BENCH_FILE,
     SCHEMA_VERSION,
-    SERVICE_BENCH_FILE,
+    SUITES,
     calibrate,
     gated_metrics,
     load_bench,
-    run_elastic_suite,
-    run_fleet_suite,
-    run_grouping_suite,
-    run_hetero_suite,
-    run_replay_suite,
-    run_service_suite,
+    run_suite,
     write_bench,
 )
 
 __all__ = [
-    "ELASTIC_BENCH_FILE",
-    "FLEET_BENCH_FILE",
-    "GROUPING_BENCH_FILE",
-    "HETERO_BENCH_FILE",
-    "REPLAY_BENCH_FILE",
-    "SERVICE_BENCH_FILE",
     "SCHEMA_VERSION",
+    "SUITES",
     "calibrate",
     "gated_metrics",
     "load_bench",
-    "run_elastic_suite",
-    "run_fleet_suite",
-    "run_grouping_suite",
-    "run_hetero_suite",
-    "run_replay_suite",
-    "run_service_suite",
+    "run_suite",
     "write_bench",
 ]

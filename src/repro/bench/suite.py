@@ -1,30 +1,34 @@
 """Benchmark implementations for ``repro bench``.
 
-Two suites, each writing one JSON document:
+:data:`SUITES` maps each suite name to the file it writes and the body
+that produces its benchmarks; :func:`run_suite` wraps a body in the
+shared skeleton (calibrate, normalize, assemble the document).
 
-* the **grouping** suite (``BENCH_grouping.json``) times Algorithm 1
-  itself — cold :class:`~repro.core.grouping.MultiRoundGrouper` runs
-  at pinned queue sizes, and the warm ``event_regroup`` decision
-  latency of a :class:`~repro.core.muri.MuriScheduler` fed a stream of
+* **grouping** (``BENCH_grouping.json``) times Algorithm 1 itself —
+  cold :class:`~repro.core.grouping.MultiRoundGrouper` runs at pinned
+  queue sizes, and the warm ``event_regroup`` decision latency of a
+  :class:`~repro.core.muri.MuriScheduler` fed a stream of
   queue-perturbing events (the per-bucket decision cache and the
   whole-plan memo are both on this path);
-* the **service** suite (``BENCH_service.json``) times the scheduler
-  embedded in its consumers — per-``decide`` latency during a drained
+* **service** (``BENCH_service.json``) times the scheduler embedded in
+  its consumers — per-``decide`` latency during a drained
   service-style simulation (arrival events are the service's
   submit-to-decision path), and the serial throughput of the sweep
   runner on a small experiment grid;
-* the **fleet** suite (``BENCH_fleet.json``) times the multi-tenant
-  front-end of :mod:`repro.fleet` — per-submission admission+routing
-  wall latency (tenant ledger, deterministic routing, shard
-  admission) over a seeded multi-tenant stream, and the aggregate
-  drain throughput of the sharded run as seconds per job;
-* the **replay** suite (``BENCH_replay.json``) times production-scale
-  trace replay end to end — CSV ingestion throughput of the Philly
-  adapter, and the batch event-driven harness over a constant-load
-  synthetic trace (100k jobs full, 10k quick) as per-job wall seconds
-  plus p50/p99 simulator-step latency;
-* the **hetero** suite (``BENCH_hetero.json``) pins the
-  throughput-aware placement claim — the Gavel-style
+* **fleet** (``BENCH_fleet.json``) times the multi-tenant front-end of
+  :mod:`repro.fleet` — per-submission admission+routing wall latency
+  over a seeded multi-tenant stream, and the aggregate drain
+  throughput of the sharded run as seconds per job;
+* **elastic** (``BENCH_elastic.json``) times what the elastic arm adds
+  on top of Muri — a cold renegotiate-and-group step and the per-tick
+  renegotiation latency;
+* **replay** (``BENCH_replay.json``) times production-scale trace
+  replay end to end — CSV ingestion throughput of the Philly adapter,
+  and the batch event-driven harness over a constant-load synthetic
+  trace (100k jobs full, 10k quick) as per-job wall seconds plus
+  p50/p99 simulator-step latency;
+* **hetero** (``BENCH_hetero.json``) pins the throughput-aware
+  placement claim — the Gavel-style
   :class:`~repro.cluster.placement.ThroughputAwarePlacer` against the
   default descending placer on one seeded mixed k80+a100 workload —
   as a simulated-makespan ratio (deterministic, gated) next to the
@@ -44,10 +48,9 @@ from __future__ import annotations
 import json
 import platform
 import random
-import statistics
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.muri import MuriScheduler
 from repro.jobs.job import Job, JobSpec
@@ -55,32 +58,14 @@ from repro.jobs.stage import StageProfile
 from repro.jobs.resources import NUM_RESOURCES
 
 __all__ = [
-    "ELASTIC_BENCH_FILE",
-    "FLEET_BENCH_FILE",
-    "GROUPING_BENCH_FILE",
-    "HETERO_BENCH_FILE",
-    "REPLAY_BENCH_FILE",
-    "SERVICE_BENCH_FILE",
+    "SUITES",
     "SCHEMA_VERSION",
     "calibrate",
     "gated_metrics",
     "load_bench",
-    "run_elastic_suite",
-    "run_fleet_suite",
-    "run_grouping_suite",
-    "run_hetero_suite",
-    "run_replay_suite",
-    "run_service_suite",
+    "run_suite",
     "write_bench",
 ]
-
-#: File names the suites write at the repo root (committed baselines).
-GROUPING_BENCH_FILE = "BENCH_grouping.json"
-SERVICE_BENCH_FILE = "BENCH_service.json"
-FLEET_BENCH_FILE = "BENCH_fleet.json"
-ELASTIC_BENCH_FILE = "BENCH_elastic.json"
-REPLAY_BENCH_FILE = "BENCH_replay.json"
-HETERO_BENCH_FILE = "BENCH_hetero.json"
 
 #: Bumped whenever the benchmark workloads change incompatibly; the
 #: diff gate refuses to compare documents with different schemas.
@@ -88,6 +73,9 @@ SCHEMA_VERSION = 1
 
 #: Progress callback: one short human-readable line per benchmark.
 Progress = Optional[Callable[[str], None]]
+
+#: A suite body: ``(quick, seed)`` -> ``(name, entry)`` per benchmark.
+Body = Callable[[bool, int], Iterator[Tuple[str, Dict[str, object]]]]
 
 
 def calibrate(repeats: int = 3) -> float:
@@ -115,6 +103,32 @@ def calibrate(repeats: int = 3) -> float:
         pairs = sorted((v, k) for k, v in table.items())
         acc += pairs[0][1]
         best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _best_of(
+    repeats: int, trial: Callable[[], Dict[str, object]]
+) -> Dict[str, object]:
+    """Run ``trial`` ``repeats`` times; keep the best timings.
+
+    Every ``*seconds`` key keeps its minimum over the repeats: the
+    work is seeded and identical each time, so differences are pure
+    scheduling jitter, which only ever adds time.  Every other key
+    keeps the last trial's value.  A calibration sample is taken
+    before each repeat and once after the last, and their minimum is
+    recorded as ``calibration`` — speed measured *around* the
+    benchmark, which cancels background-load drift far better than
+    one suite-wide sample.
+    """
+    best: Dict[str, object] = {}
+    calibration = float("inf")
+    for _ in range(max(1, repeats)):
+        calibration = min(calibration, calibrate(repeats=1))
+        for key, value in trial().items():
+            if key.endswith("seconds") and key in best:
+                value = min(best[key], value)
+            best[key] = value
+    best["calibration"] = min(calibration, calibrate(repeats=1))
     return best
 
 
@@ -152,13 +166,9 @@ def _attach_normalized(
 ) -> None:
     """Fill in ``*_normalized`` next to every ``*_seconds`` metric.
 
-    Each benchmark entry that recorded its own adjacent
-    ``calibration`` sample (taken interleaved with its repeats) is
-    normalized by that; entries without one fall back to the suite
-    calibration.  Adjacent calibration matters on shared machines:
-    background load drifts on minute timescales, and dividing a
-    benchmark by the machine speed measured *around it* cancels that
-    drift far better than one suite-wide sample.
+    Each benchmark entry is normalized by its own adjacent
+    ``calibration`` sample (see :func:`_best_of`); entries without one
+    fall back to the suite calibration.
     """
     for entry in benchmarks.values():
         calibration = entry.get("calibration", fallback)
@@ -177,7 +187,60 @@ def _percentile(samples: Sequence[float], fraction: float) -> float:
     return ordered[index]
 
 
-def _cold_group(size: int, seed: int, repeats: int) -> Dict[str, float]:
+def _tail(latencies: Sequence[float]) -> Dict[str, float]:
+    """Sample count plus nearest-rank p50/p99 of one latency stream."""
+    return {
+        "events": len(latencies),
+        "p50_seconds": _percentile(latencies, 0.50),
+        "p99_seconds": _percentile(latencies, 0.99),
+    }
+
+
+def _event_stream(
+    scheduler, queue: List[Job], events: int
+) -> Iterator[Tuple[float, List[Job]]]:
+    """Yield ``(now, queue)`` after each of ``events`` queue removals.
+
+    Removals follow the scheduler's own queue order (priority tuple,
+    then submit time, then id), alternating between the priority
+    *tail* — which leaves the dequeued batch untouched — and the
+    priority *head*, which perturbs it.  The stream stops early once
+    fewer than eight jobs remain; ``now`` starts at 1 s and advances
+    1 s per event.
+    """
+    ranked = sorted(
+        queue,
+        key=lambda job: (
+            scheduler.policy(job, 0.0),
+            job.spec.submit_time,
+            job.job_id,
+        ),
+    )
+    now = 1.0
+    for event in range(events):
+        if len(ranked) < 8:
+            return
+        victim = ranked.pop() if event % 2 == 0 else ranked.pop(0)
+        queue = [job for job in queue if job is not victim]
+        yield now, queue
+        now += 1.0
+
+
+def _environment() -> Dict[str, object]:
+    """Context recorded alongside the numbers (never gated)."""
+    import os
+
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count() or 1,
+    }
+
+
+# -- grouping ----------------------------------------------------------------
+
+
+def _cold_group(size: int, seed: int, repeats: int) -> Dict[str, object]:
     """Time a cold grouping of ``size`` jobs; best of ``repeats`` runs.
 
     Every repeat uses a freshly built grouper, so no cache survives
@@ -192,47 +255,37 @@ def _cold_group(size: int, seed: int, repeats: int) -> Dict[str, float]:
 
     specs = build_jobs(generate_trace("1", num_jobs=size, seed=seed), seed=seed)
     jobs = [Job(spec) for spec in specs]
-    best = float("inf")
-    calibration = float("inf")
-    groups = 0
-    total_efficiency = 0.0
-    for _ in range(max(1, repeats)):
-        calibration = min(calibration, calibrate(repeats=1))
+
+    def trial() -> Dict[str, object]:
         scheduler = MuriScheduler()
         start = time.perf_counter()
         result = scheduler.grouper.group(jobs, capacity=None)
-        best = min(best, time.perf_counter() - start)
-        groups = len(result.groups)
-        total_efficiency = result.total_efficiency
-    calibration = min(calibration, calibrate(repeats=1))
-    return {
-        "jobs": len(jobs),
-        "seconds": best,
-        "groups": groups,
-        "total_efficiency": total_efficiency,
-        "calibration": calibration,
-    }
+        seconds = time.perf_counter() - start
+        return {
+            "seconds": seconds,
+            "groups": len(result.groups),
+            "total_efficiency": result.total_efficiency,
+        }
+
+    return {"jobs": len(jobs), **_best_of(repeats, trial)}
 
 
 def _warm_regroup(
     size: int, events: int, seed: int, repeats: int = 3
-) -> Dict[str, float]:
+) -> Dict[str, object]:
     """Latency distribution of warm ``event_regroup`` decisions.
 
     The whole event stream is replayed ``repeats`` times (fresh
     scheduler and queue each time — the stream consumes the queue) and
-    the best percentile across replays is reported: the work is
-    deterministic, so differences between replays are pure scheduler
-    jitter, which only ever inflates the tail.
+    the best percentile across replays is reported.
 
     A :class:`MuriScheduler` with ``event_regroup=True`` is warmed with
-    one cold decide, then fed ``events`` queue perturbations in the
-    scheduler's own priority order: removals from the priority *tail*
-    (completions past the dequeue budget — the whole-plan memo's case)
-    alternating with removals from the priority *head* (batch-changing
-    events, served by the per-bucket decision cache).  Reported p50/p99
-    therefore cover both warm paths, with p99 dominated by the
-    cache-assisted regroups.
+    one cold decide, then fed :func:`_event_stream` removals: from the
+    priority *tail* (completions past the dequeue budget — the
+    whole-plan memo's case) alternating with the priority *head*
+    (batch-changing events, served by the per-bucket decision cache).
+    Reported p50/p99 therefore cover both warm paths, with p99
+    dominated by the cache-assisted regroups.
 
     The queue draws GPU counts uniformly from (1, 2, 4, 8) so no
     single GPU-count bucket dominates the dequeued batch: a
@@ -244,123 +297,42 @@ def _warm_regroup(
     covered by the cold benchmarks instead).
     """
     capacity = 64
-    best_p50 = float("inf")
-    best_p99 = float("inf")
-    calibration = float("inf")
-    observed = 0
-    for _ in range(max(1, repeats)):
-        calibration = min(calibration, calibrate(repeats=1))
+
+    def trial() -> Dict[str, object]:
         scheduler = MuriScheduler(event_regroup=True)
         queue = _make_jobs(size, seed, gpu_choices=(1, 2, 4, 8))
         scheduler.decide(0.0, queue, {}, capacity, reason="arrival")
-        # The scheduler's queue order: priority tuple, then submit
-        # time, then id — removing from this list's tail leaves the
-        # dequeued batch untouched, removing from its head perturbs it.
-        ranked = sorted(
-            queue,
-            key=lambda job: (
-                scheduler.policy(job, 0.0),
-                job.spec.submit_time,
-                job.job_id,
-            ),
-        )
         latencies: List[float] = []
-        now = 1.0
-        for event in range(events):
-            if len(ranked) < 8:
-                break
-            victim = ranked.pop() if event % 2 == 0 else ranked.pop(0)
-            queue = [job for job in queue if job is not victim]
+        for now, queue in _event_stream(scheduler, queue, events):
             start = time.perf_counter()
             scheduler.decide(now, queue, {}, capacity, reason="completion")
             latencies.append(time.perf_counter() - start)
-            now += 1.0
-        observed = len(latencies)
-        best_p50 = min(best_p50, _percentile(latencies, 0.50))
-        best_p99 = min(best_p99, _percentile(latencies, 0.99))
-    calibration = min(calibration, calibrate(repeats=1))
-    return {
-        "jobs": size,
-        "events": observed,
-        "p50_seconds": best_p50,
-        "p99_seconds": best_p99,
-        "calibration": calibration,
-    }
+        return _tail(latencies)
+
+    return {"jobs": size, **_best_of(repeats, trial)}
 
 
-def _environment() -> Dict[str, object]:
-    """Context recorded alongside the numbers (never gated)."""
-    import os
+def _grouping(quick: bool, seed: int):
+    """Cold grouping per queue size (4096 full-only), then warm regroup.
 
-    return {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count() or 1,
-    }
-
-
-def run_grouping_suite(
-    quick: bool = False, seed: int = 0, progress: Progress = None
-) -> Dict[str, object]:
-    """Run the grouping suite; return the ``BENCH_grouping.json`` document.
-
-    Args:
-        quick: Skip the largest cold size (the CI configuration).
-            Every benchmark quick mode *does* run uses the exact full
-            workload, so quick results are a strict, comparable subset
-            of full results and gate cleanly against a committed full
-            baseline.
-        seed: Workload seed; the default is what the committed
-            baselines use.
-        progress: Optional callback receiving one line per benchmark.
+    Every benchmark quick mode *does* run uses the exact full
+    workload, so quick results are a strict, comparable subset of full
+    results and gate cleanly against a committed full baseline.
     """
-
-    def note(line: str) -> None:
-        if progress is not None:
-            progress(line)
-
-    calibration = calibrate()
-    note(f"calibration {calibration * 1e3:.1f} ms")
-    sizes = (512, 1024) if quick else (512, 1024, 4096)
-    benchmarks: Dict[str, Dict[str, float]] = {}
-    for size in sizes:
-        entry = _cold_group(size, seed, repeats=2)
-        benchmarks[f"cold_group_{size}"] = entry
-        note(
-            f"cold_group_{size}: {entry['seconds']:.3f} s "
-            f"({entry['groups']} groups)"
-        )
-    warm = _warm_regroup(128, 100, seed)
-    benchmarks["warm_regroup"] = warm
-    note(
-        f"warm_regroup: p50 {warm['p50_seconds'] * 1e3:.2f} ms, "
-        f"p99 {warm['p99_seconds'] * 1e3:.2f} ms over {warm['events']} events"
-    )
-    calibration = min(calibration, calibrate())
-    _attach_normalized(benchmarks, calibration)
-    return {
-        "schema": SCHEMA_VERSION,
-        "suite": "grouping",
-        "quick": quick,
-        "seed": seed,
-        "calibration_seconds": calibration,
-        "env": _environment(),
-        "benchmarks": benchmarks,
-    }
+    for size in (512, 1024) if quick else (512, 1024, 4096):
+        yield f"cold_group_{size}", _cold_group(size, seed, repeats=2)
+    yield "warm_regroup", _warm_regroup(128, 100, seed)
 
 
-def run_service_suite(
-    quick: bool = False, seed: int = 0, progress: Progress = None
-) -> Dict[str, object]:
-    """Run the service suite; return the ``BENCH_service.json`` document.
+# -- service -----------------------------------------------------------------
 
-    Args:
-        quick: Accepted for CLI symmetry with the grouping suite; the
-            service workloads are already cheap, and shrinking them
-            would make quick-run metrics incomparable with the
-            committed full baseline, so the flag changes nothing here.
-        seed: Workload seed for the trace generator and sweep cells.
-        progress: Optional callback receiving one line per benchmark.
+
+def _service(quick: bool, seed: int):
+    """Submit-to-decision latency, then serial sweep throughput.
+
+    The service workloads are already cheap, and shrinking them would
+    make quick-run metrics incomparable with the committed full
+    baseline, so ``quick`` changes nothing here.
     """
     from repro.cluster.cluster import Cluster
     from repro.sim.simulator import ClusterSimulator
@@ -368,33 +340,16 @@ def run_service_suite(
     from repro.trace.philly import generate_trace
     from repro.trace.workload import build_jobs
 
-    def note(line: str) -> None:
-        if progress is not None:
-            progress(line)
-
-    calibration = calibrate()
-    note(f"calibration {calibration * 1e3:.1f} ms")
-
     # Submit-to-decision: a drained service-style run (arrivals
     # reschedule immediately, completions regroup incrementally) with
     # every scheduler.decide call timed.  Arrival-reason latencies are
     # exactly what a service client waits between submit and decision.
-    # The simulation is deterministic, so each repeat times identical
-    # work; taking the best percentile over repeats discards scheduler
-    # jitter, which only ever inflates the tail.
-    num_jobs = 200
-    repeats = 3
-    trace = generate_trace("1", num_jobs=num_jobs, seed=seed)
+    trace = generate_trace("1", num_jobs=200, seed=seed)
     specs = build_jobs(trace, seed=seed)
     cluster = Cluster(8, 8)
     specs = [s for s in specs if s.num_gpus <= cluster.total_gpus]
-    best_p50 = float("inf")
-    best_p99 = float("inf")
-    submit_cal = float("inf")
-    decisions = 0
-    arrival_count = 0
-    for _ in range(repeats):
-        submit_cal = min(submit_cal, calibrate(repeats=1))
+
+    def submit_trial() -> Dict[str, object]:
         scheduler = MuriScheduler(event_regroup=True)
         latencies: Dict[str, List[float]] = {}
         inner_decide = scheduler.decide
@@ -418,70 +373,39 @@ def run_service_suite(
         )
         simulator.run(specs, trace.name)
         arrivals = latencies.get("arrival", [0.0])
-        decisions = sum(len(samples) for samples in latencies.values())
-        arrival_count = len(arrivals)
-        best_p50 = min(best_p50, _percentile(arrivals, 0.50))
-        best_p99 = min(best_p99, _percentile(arrivals, 0.99))
-    submit_cal = min(submit_cal, calibrate(repeats=1))
-    submit = {
-        "jobs": len(specs),
-        "decisions": decisions,
-        "arrivals": arrival_count,
-        "p50_seconds": best_p50,
-        "p99_seconds": best_p99,
-        "calibration": submit_cal,
-    }
-    note(
-        f"submit_decide: p50 {submit['p50_seconds'] * 1e3:.2f} ms, "
-        f"p99 {submit['p99_seconds'] * 1e3:.2f} ms "
-        f"over {submit['arrivals']} arrivals"
-    )
+        return {
+            "decisions": sum(len(samples) for samples in latencies.values()),
+            "arrivals": len(arrivals),
+            "p50_seconds": _percentile(arrivals, 0.50),
+            "p99_seconds": _percentile(arrivals, 0.99),
+        }
+
+    yield "submit_decide", {"jobs": len(specs), **_best_of(3, submit_trial)}
 
     # Sweep throughput: the serial runner on a pinned slice of the
-    # fig11 ablation grid, best of a few repeats.  Gated as
-    # seconds-per-cell so the direction matches every other metric
-    # (higher = regression).
+    # fig11 ablation grid, gated as seconds-per-cell so the direction
+    # matches every other metric (higher = regression).
     cells = experiment_cells("fig11", num_jobs=40, seed=seed)[:4]
-    elapsed = float("inf")
-    sweep_cal = float("inf")
-    results: Dict[str, object] = {}
-    for _ in range(repeats):
-        sweep_cal = min(sweep_cal, calibrate(repeats=1))
+
+    def sweep_trial() -> Dict[str, object]:
         runner = SweepRunner(max_workers=1)
         start = time.perf_counter()
         results = runner.run(cells)
-        elapsed = min(elapsed, time.perf_counter() - start)
-    sweep_cal = min(sweep_cal, calibrate(repeats=1))
-    failed = sum(1 for run in results.values() if not run.ok)
-    per_cell = elapsed / max(1, len(results))
-    sweep = {
-        "cells": len(results),
-        "failed": failed,
-        "cell_seconds": per_cell,
-        "calibration": sweep_cal,
-    }
-    note(
-        f"sweep_serial: {len(results)} cells in {elapsed:.2f} s "
-        f"({per_cell:.2f} s/cell)"
-    )
-    benchmarks = {"submit_decide": submit, "sweep_serial": sweep}
-    calibration = min(calibration, calibrate())
-    _attach_normalized(benchmarks, calibration)
-    return {
-        "schema": SCHEMA_VERSION,
-        "suite": "service",
-        "quick": quick,
-        "seed": seed,
-        "calibration_seconds": calibration,
-        "env": _environment(),
-        "benchmarks": benchmarks,
-    }
+        elapsed = time.perf_counter() - start
+        return {
+            "cells": len(results),
+            "failed": sum(1 for run in results.values() if not run.ok),
+            "cell_seconds": elapsed / max(1, len(results)),
+        }
+
+    yield "sweep_serial", _best_of(3, sweep_trial)
 
 
-def run_fleet_suite(
-    quick: bool = False, seed: int = 0, progress: Progress = None
-) -> Dict[str, object]:
-    """Run the fleet suite; return the ``BENCH_fleet.json`` document.
+# -- fleet -------------------------------------------------------------------
+
+
+def _fleet(quick: bool, seed: int):
+    """Fleet admission latency and drain throughput.
 
     A seeded three-tenant stream is submitted through a four-shard
     fleet (``partition_cluster(8, 8, 4)``), measuring what the fleet
@@ -489,33 +413,18 @@ def run_fleet_suite(
 
     * **fleet_submit** — per-submission admission+routing wall
       latency (ledger charge, open-job sweep, deterministic routing,
-      shard admission), pooled across tenants; best p50/p99 over
-      repeats since the seeded stream makes every repeat identical
-      work;
+      shard admission), pooled across tenants;
     * **fleet_drain** — aggregate drain throughput of ``run_sync``
       over all shards, gated as seconds per job.
 
     Shards run FIFO: scheduler cost is the *service* suite's subject,
     and a cheap ``decide`` keeps this suite sensitive to the plumbing
-    (routing, tenancy, merge) rather than re-measuring grouping.
-
-    Args:
-        quick: Accepted for CLI symmetry; the fleet workload is
-            already cheap, so the flag changes nothing here.
-        seed: Workload seed for the job stream.
-        progress: Optional callback receiving one line per benchmark.
+    (routing, tenancy, merge) rather than re-measuring grouping.  The
+    workload is already cheap, so ``quick`` changes nothing here.
     """
     from repro.fleet import FleetFrontEnd, partition_cluster
 
-    def note(line: str) -> None:
-        if progress is not None:
-            progress(line)
-
-    calibration = calibrate()
-    note(f"calibration {calibration * 1e3:.1f} ms")
-
     num_jobs = 400
-    repeats = 3
     tenants = ("alice", "bob", "carol")
     topology = partition_cluster(8, 8, 4)
     # VCs are 2x8 = 16 GPUs, so every choice fits every shard and the
@@ -525,13 +434,7 @@ def run_fleet_suite(
         for job in _make_jobs(num_jobs, seed, gpu_choices=(1, 1, 2, 4, 8))
     ]
 
-    best_p50 = float("inf")
-    best_p99 = float("inf")
-    best_drain = float("inf")
-    submit_cal = float("inf")
-    finished = 0
-    for _ in range(repeats):
-        submit_cal = min(submit_cal, calibrate(repeats=1))
+    def trial() -> Dict[str, object]:
         frontend = FleetFrontEnd.build(topology, scheduler="fifo")
         for index, spec in enumerate(specs):
             frontend.submit(spec, tenant=tenants[index % len(tenants)])
@@ -540,58 +443,40 @@ def run_fleet_suite(
             for samples in frontend.submit_latencies.values()
             for value in samples
         ]
-        best_p50 = min(best_p50, _percentile(pooled, 0.50))
-        best_p99 = min(best_p99, _percentile(pooled, 0.99))
         start = time.perf_counter()
         result = frontend.run_sync()
-        best_drain = min(best_drain, time.perf_counter() - start)
-        finished = len(result.jcts)
-    submit_cal = min(submit_cal, calibrate(repeats=1))
+        drain = time.perf_counter() - start
+        return {
+            "p50_seconds": _percentile(pooled, 0.50),
+            "p99_seconds": _percentile(pooled, 0.99),
+            "drain_seconds": drain,
+            "finished": len(result.jcts),
+        }
 
-    submit = {
+    best = _best_of(3, trial)
+    yield "fleet_submit", {
         "jobs": num_jobs,
         "shards": len(topology.vcs),
         "tenants": len(tenants),
-        "p50_seconds": best_p50,
-        "p99_seconds": best_p99,
-        "calibration": submit_cal,
+        "p50_seconds": best["p50_seconds"],
+        "p99_seconds": best["p99_seconds"],
+        "calibration": best["calibration"],
     }
-    note(
-        f"fleet_submit: p50 {submit['p50_seconds'] * 1e6:.1f} us, "
-        f"p99 {submit['p99_seconds'] * 1e6:.1f} us "
-        f"over {num_jobs} submissions"
-    )
-    drain = {
+    yield "fleet_drain", {
         "jobs": num_jobs,
-        "finished": finished,
-        "job_seconds": best_drain / max(1, finished),
-        "calibration": submit_cal,
-    }
-    note(
-        f"fleet_drain: {finished} jobs in {best_drain:.2f} s "
-        f"({drain['job_seconds'] * 1e3:.2f} ms/job)"
-    )
-    benchmarks = {"fleet_submit": submit, "fleet_drain": drain}
-    calibration = min(calibration, calibrate())
-    _attach_normalized(benchmarks, calibration)
-    return {
-        "schema": SCHEMA_VERSION,
-        "suite": "fleet",
-        "quick": quick,
-        "seed": seed,
-        "calibration_seconds": calibration,
-        "env": _environment(),
-        "benchmarks": benchmarks,
+        "finished": best["finished"],
+        "job_seconds": best["drain_seconds"] / max(1, best["finished"]),
+        "calibration": best["calibration"],
     }
 
 
-def run_elastic_suite(
-    quick: bool = False, seed: int = 0, progress: Progress = None
-) -> Dict[str, object]:
-    """Run the elastic suite; return the ``BENCH_elastic.json`` document.
+# -- elastic -----------------------------------------------------------------
 
-    Times what the elastic arm adds on top of Muri, on a seeded
-    half-elastic trace-"1" workload:
+
+def _elastic(quick: bool, seed: int):
+    """Cold elastic step and per-tick renegotiation latency.
+
+    On a seeded half-elastic trace-"1" workload:
 
     * **cold_elastic_group** — one full cold scheduling step: a fresh
       :class:`~repro.elastic.ElasticMuriScheduler` renegotiates GPU
@@ -600,35 +485,17 @@ def run_elastic_suite(
       runs on the resized buckets;
     * **renegotiate_step** — p50/p99 latency of the per-tick
       renegotiation step alone (allocator water-fill plus resize
-      application) over a stream of queue-perturbing events.
+      application) over an :func:`_event_stream`.
 
-    Args:
-        quick: Accepted for CLI symmetry; the elastic workloads are
-            already cheap, and shrinking them would make quick-run
-            metrics incomparable with the committed full baseline, so
-            the flag changes nothing here.
-        seed: Workload seed; the default is what the committed
-            baseline uses.
-        progress: Optional callback receiving one line per benchmark.
+    The workloads are already cheap, so ``quick`` changes nothing here.
     """
     from repro.elastic.scheduler import ElasticMuriScheduler
     from repro.elastic.workload import attach_scalability
     from repro.trace.philly import generate_trace
     from repro.trace.workload import build_jobs
 
-    def note(line: str) -> None:
-        if progress is not None:
-            progress(line)
-
-    calibration = calibrate()
-    note(f"calibration {calibration * 1e3:.1f} ms")
-
     capacity = 64
-    num_jobs = 512
-    repeats = 3
-    specs = build_jobs(
-        generate_trace("1", num_jobs=num_jobs, seed=seed), seed=seed
-    )
+    specs = build_jobs(generate_trace("1", num_jobs=512, seed=seed), seed=seed)
     specs = [s for s in specs if s.num_gpus <= capacity]
     especs = attach_scalability(specs, fraction=0.5, seed=seed)
 
@@ -637,14 +504,8 @@ def run_elastic_suite(
             old = by_id[job_id].resize(targets[job_id])
             scheduler.notify_resize(job_id, old, targets[job_id])
 
-    # Cold full step: renegotiate + apply + group, fresh every repeat
-    # (resizes mutate the jobs, so each repeat rebuilds them).
-    best = float("inf")
-    cold_cal = float("inf")
-    resizes = 0
-    groups = 0
-    for _ in range(repeats):
-        cold_cal = min(cold_cal, calibrate(repeats=1))
+    # Resizes mutate the jobs, so every repeat rebuilds them.
+    def cold_trial() -> Dict[str, object]:
         jobs = [Job(spec) for spec in especs]
         by_id = {job.job_id: job for job in jobs}
         scheduler = ElasticMuriScheduler()
@@ -652,110 +513,47 @@ def run_elastic_suite(
         targets = scheduler.renegotiate(0.0, jobs, capacity)
         apply_targets(scheduler, by_id, targets)
         plan = scheduler.decide(0.0, jobs, {}, capacity, reason="tick")
-        best = min(best, time.perf_counter() - start)
-        resizes = len(targets)
-        groups = len(plan)
-    cold_cal = min(cold_cal, calibrate(repeats=1))
-    cold = {
-        "jobs": len(especs),
-        "resizes": resizes,
-        "groups": groups,
-        "seconds": best,
-        "calibration": cold_cal,
-    }
-    note(
-        f"cold_elastic_group: {cold['seconds']:.3f} s "
-        f"({resizes} resizes, {groups} groups)"
-    )
+        seconds = time.perf_counter() - start
+        return {"resizes": len(targets), "groups": len(plan), "seconds": seconds}
 
-    # Renegotiation-step latency on an evolving queue: each event
-    # removes one job (alternating priority tail/head, as the warm
-    # regroup benchmark does) and times renegotiate + apply alone.
-    events = 100
-    best_p50 = float("inf")
-    best_p99 = float("inf")
-    step_cal = float("inf")
-    observed = 0
-    for _ in range(repeats):
-        step_cal = min(step_cal, calibrate(repeats=1))
+    yield "cold_elastic_group", {"jobs": len(especs), **_best_of(3, cold_trial)}
+
+    def step_trial() -> Dict[str, object]:
         queue = [Job(spec) for spec in especs]
         by_id = {job.job_id: job for job in queue}
         scheduler = ElasticMuriScheduler()
-        ranked = sorted(
-            queue,
-            key=lambda job: (
-                scheduler.policy(job, 0.0),
-                job.spec.submit_time,
-                job.job_id,
-            ),
-        )
         latencies: List[float] = []
-        now = 1.0
-        for event in range(events):
-            if len(ranked) < 8:
-                break
-            victim = ranked.pop() if event % 2 == 0 else ranked.pop(0)
-            queue = [job for job in queue if job is not victim]
+        for now, queue in _event_stream(scheduler, queue, 100):
             start = time.perf_counter()
             targets = scheduler.renegotiate(now, queue, capacity)
             apply_targets(scheduler, by_id, targets)
             latencies.append(time.perf_counter() - start)
-            now += 1.0
-        observed = len(latencies)
-        best_p50 = min(best_p50, _percentile(latencies, 0.50))
-        best_p99 = min(best_p99, _percentile(latencies, 0.99))
-    step_cal = min(step_cal, calibrate(repeats=1))
-    step = {
-        "jobs": len(especs),
-        "events": observed,
-        "p50_seconds": best_p50,
-        "p99_seconds": best_p99,
-        "calibration": step_cal,
-    }
-    note(
-        f"renegotiate_step: p50 {step['p50_seconds'] * 1e3:.2f} ms, "
-        f"p99 {step['p99_seconds'] * 1e3:.2f} ms over {observed} events"
-    )
+        return _tail(latencies)
 
-    benchmarks = {"cold_elastic_group": cold, "renegotiate_step": step}
-    calibration = min(calibration, calibrate())
-    _attach_normalized(benchmarks, calibration)
-    return {
-        "schema": SCHEMA_VERSION,
-        "suite": "elastic",
-        "quick": quick,
-        "seed": seed,
-        "calibration_seconds": calibration,
-        "env": _environment(),
-        "benchmarks": benchmarks,
-    }
+    yield "renegotiate_step", {"jobs": len(especs), **_best_of(3, step_trial)}
 
 
-def run_replay_suite(
-    quick: bool = False, seed: int = 0, progress: Progress = None
-) -> Dict[str, object]:
-    """Run the replay suite; return the ``BENCH_replay.json`` document.
+# -- replay ------------------------------------------------------------------
 
-    The full path of a production-scale replay, on a constant-load
-    :func:`~repro.replay.workload.synthetic_trace` (100k jobs over 20
-    simulated days; the quick configuration replays the same recipe at
+
+def _replay(quick: bool, seed: int):
+    """CSV ingestion, then one end-to-end batch replay.
+
+    On a constant-load :func:`~repro.replay.workload.synthetic_trace`
+    (100k jobs over 20 simulated days; quick replays the same recipe at
     10k jobs — **not** a subset, so quick runs gate only against a
     quick baseline, which is what CI commits):
 
-    * **csv_ingest** — Philly CSV adapter throughput: the trace is
-      serialized with ``write_philly_csv`` and ingested back with
-      ``load_philly_csv``, gated as seconds per job row;
+    * **csv_ingest** — the trace is serialized with
+      ``write_philly_csv`` and ingested back with ``load_philly_csv``,
+      gated as seconds per job row;
     * **replay_run** — the batch event-driven harness end to end
       (FIFO shards the cost to the harness and simulator rather than
       the grouping paths other suites own), gated as wall seconds per
       job plus the p99 simulator-step latency from
-      :class:`~repro.replay.ReplayStats`.
-
-    Args:
-        quick: Replay 10k jobs instead of 100k (the CI configuration).
-        seed: Workload seed; the default is what the committed
-            baseline uses.
-        progress: Optional callback receiving one line per benchmark.
+      :class:`~repro.replay.ReplayStats`.  One round: the run is
+      deterministic and minutes long at full size, so repeats would
+      only resample jitter the adjacent calibration already cancels.
     """
     import tempfile
 
@@ -767,106 +565,68 @@ def run_replay_suite(
     from repro.trace.philly_csv import load_philly_csv, write_philly_csv
     from repro.trace.workload import build_jobs
 
-    def note(line: str) -> None:
-        if progress is not None:
-            progress(line)
-
-    calibration = calibrate()
-    note(f"calibration {calibration * 1e3:.1f} ms")
-
     num_jobs = 10_000 if quick else 100_000
     trace = synthetic_trace(num_jobs, seed=seed)
 
-    # CSV ingestion: serialize + parse the whole trace through the
-    # Philly adapter; cheap enough to take the best of two rounds.
-    ingest_cal = float("inf")
-    best_ingest = float("inf")
-    loaded = 0
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "replay.csv"
-        for _ in range(2):
-            ingest_cal = min(ingest_cal, calibrate(repeats=1))
+
+        def ingest_trial() -> Dict[str, object]:
             start = time.perf_counter()
             write_philly_csv(trace, csv_path)
             ingested, report = load_philly_csv(csv_path, min_duration=0.0)
-            best_ingest = min(best_ingest, time.perf_counter() - start)
-            loaded = report.jobs_loaded
-    ingest_cal = min(ingest_cal, calibrate(repeats=1))
-    ingest = {
-        "jobs": num_jobs,
-        "loaded": loaded,
-        "job_seconds": best_ingest / max(1, loaded),
-        "calibration": ingest_cal,
-    }
-    note(
-        f"csv_ingest: {loaded} jobs in {best_ingest:.2f} s "
-        f"({ingest['job_seconds'] * 1e6:.1f} us/job)"
-    )
+            seconds = time.perf_counter() - start
+            return {
+                "ingested": ingested,
+                "loaded": report.jobs_loaded,
+                "job_seconds": seconds / max(1, report.jobs_loaded),
+            }
 
-    # The replay itself: one round — the run is deterministic and
-    # minutes long at full size, so repeats would only resample
-    # scheduler jitter the adjacent calibration already cancels.
+        ingest = {"jobs": num_jobs, **_best_of(2, ingest_trial)}
+    ingested = ingest.pop("ingested")
+    yield "csv_ingest", ingest
+
     specs = build_jobs(ingested, seed=seed)
     simulator = ClusterSimulator(
         make_scheduler("fifo"), cluster=Cluster(256, 8)
     )
-    replay_cal = calibrate(repeats=1)
-    result, stats = replay_trace(
-        simulator, specs, ingested.name, batch_step_seconds=300.0
-    )
-    replay_cal = min(replay_cal, calibrate(repeats=1))
-    run = {
-        "jobs": num_jobs,
-        "finished": len(result.jcts),
-        "steps": stats.sim_steps,
-        "rounds": stats.rounds,
-        "job_seconds": stats.wall_clock / max(1, num_jobs),
-        "p50_step_seconds": stats.step_seconds_p50,
-        "p99_step_seconds": stats.step_seconds_p99,
-        "calibration": replay_cal,
-    }
-    note(
-        f"replay_run: {num_jobs} jobs in {stats.wall_clock:.1f} s "
-        f"({num_jobs / max(stats.wall_clock, 1e-9):.0f} jobs/s), "
-        f"step p50 {stats.step_seconds_p50 * 1e3:.2f} ms, "
-        f"p99 {stats.step_seconds_p99 * 1e3:.2f} ms"
-    )
 
-    benchmarks = {"csv_ingest": ingest, "replay_run": run}
-    calibration = min(calibration, calibrate())
-    _attach_normalized(benchmarks, calibration)
-    return {
-        "schema": SCHEMA_VERSION,
-        "suite": "replay",
-        "quick": quick,
-        "seed": seed,
-        "calibration_seconds": calibration,
-        "env": _environment(),
-        "benchmarks": benchmarks,
-    }
+    def replay_trial() -> Dict[str, object]:
+        result, stats = replay_trace(
+            simulator, specs, ingested.name, batch_step_seconds=300.0
+        )
+        return {
+            "finished": len(result.jcts),
+            "steps": stats.sim_steps,
+            "rounds": stats.rounds,
+            "job_seconds": stats.wall_clock / max(1, num_jobs),
+            "p50_step_seconds": stats.step_seconds_p50,
+            "p99_step_seconds": stats.step_seconds_p99,
+        }
+
+    yield "replay_run", {"jobs": num_jobs, **_best_of(1, replay_trial)}
 
 
-def run_hetero_suite(
-    quick: bool = False, seed: int = 0, progress: Progress = None
-) -> Dict[str, object]:
-    """Run the hetero suite; return the ``BENCH_hetero.json`` document.
+# -- hetero ------------------------------------------------------------------
+
+
+def _hetero(quick: bool, seed: int):
+    """Throughput-aware vs default placement on a k80+a100 mix.
 
     One seeded workload pinned/preferred onto a mixed k80+a100
     cluster, run through Muri-S twice — default descending placer vs
     the Gavel-style throughput-aware placer — with landing-speed
     scaling active on both arms, so the *only* difference is where
-    preferred and unaffine groups land:
-
-    * **hetero_placement** — the headline claim.
-      ``makespan_ratio_normalized`` is the aware arm's simulated
-      makespan divided by the baseline arm's: deterministic for the
-      seed (simulated time, no clock involved — it needs no
-      calibration, the ``_normalized`` suffix opts it into the gate),
-      lower is better, and strictly below 1.0 while throughput-aware
-      placement actually beats affinity-only placement.  Per-arm
-      makespans and per-generation occupancy ride along for humans,
-      and ``run_seconds`` (both arms' wall time, calibrated) gates
-      the cost of the heterogeneous scheduling path itself.
+    preferred and unaffine groups land.
+    ``makespan_ratio_normalized`` is the aware arm's simulated
+    makespan divided by the baseline arm's: deterministic for the seed
+    (simulated time, no clock involved — it needs no calibration, the
+    ``_normalized`` suffix opts it into the gate), lower is better,
+    and strictly below 1.0 while throughput-aware placement actually
+    beats affinity-only placement.  Per-arm makespans and
+    per-generation occupancy ride along for humans, and
+    ``run_seconds`` (both arms' wall time, calibrated) gates the cost
+    of the heterogeneous scheduling path itself.
     """
     from repro.cluster.placement import ThroughputAwarePlacer
     from repro.hetero.types import DEFAULT_TYPE_SCALING
@@ -876,73 +636,98 @@ def run_hetero_suite(
     from repro.trace.philly import generate_trace
     from repro.trace.workload import build_jobs
 
+    num_jobs = 256 if quick else 1_024
+    type_names = ("k80", "a100")
+    specs = build_jobs(
+        generate_trace("1", num_jobs=num_jobs, seed=seed), seed=seed
+    )
+    pinned = pin_jobs(specs, list(type_names), seed=seed, prefer_fraction=0.6)
+
+    def trial() -> Dict[str, object]:
+        arms: Dict[str, object] = {}
+        occupancy: Dict[str, Dict[str, float]] = {}
+        wall = 0.0
+        for label, placer in (
+            ("baseline", None),
+            ("aware", ThroughputAwarePlacer()),
+        ):
+            cluster = make_hetero_cluster(
+                8, 8, type_names=type_names, seed=seed
+            )
+            simulator = ClusterSimulator(
+                make_scheduler("muri-s"),
+                cluster=cluster,
+                landing_speed_scaling=DEFAULT_TYPE_SCALING,
+                placer=placer,
+            )
+            start = time.perf_counter()
+            result = simulator.run(pinned, "hetero-bench")
+            wall += time.perf_counter() - start
+            arms[f"makespan_{label}"] = result.makespan
+            occupancy[label] = {
+                name: round(value, 4)
+                for name, value in result.utilization_by_type().items()
+            }
+        return {**arms, "utilization_by_type": occupancy, "run_seconds": wall}
+
+    placement = {"jobs": num_jobs, **_best_of(1, trial)}
+    ratio = placement["makespan_aware"] / placement["makespan_baseline"]
+    placement["improvement"] = 1.0 - ratio
+    placement["makespan_ratio_normalized"] = ratio
+    yield "hetero_placement", placement
+
+
+#: Every suite ``repro bench`` knows: name -> (file it writes at the
+#: repo root, body yielding ``(benchmark name, entry)`` pairs).  Adding
+#: a suite is one body plus one row here.
+SUITES: Dict[str, Tuple[str, Body]] = {
+    "grouping": ("BENCH_grouping.json", _grouping),
+    "service": ("BENCH_service.json", _service),
+    "fleet": ("BENCH_fleet.json", _fleet),
+    "elastic": ("BENCH_elastic.json", _elastic),
+    "replay": ("BENCH_replay.json", _replay),
+    "hetero": ("BENCH_hetero.json", _hetero),
+}
+
+
+def run_suite(
+    name: str, quick: bool = False, seed: int = 0, progress: Progress = None
+) -> Dict[str, object]:
+    """Run one suite from :data:`SUITES`; return its JSON document.
+
+    Args:
+        name: Suite name (a :data:`SUITES` key).
+        quick: The CI configuration; a suite whose full workload is
+            already cheap ignores it (see each body's docstring).
+        seed: Workload seed; the default is what the committed
+            baselines use.
+        progress: Optional callback receiving one line per benchmark.
+
+    Raises:
+        KeyError: For an unknown suite name.
+    """
+    _filename, body = SUITES[name]
+
     def note(line: str) -> None:
         if progress is not None:
             progress(line)
 
     calibration = calibrate()
     note(f"calibration {calibration * 1e3:.1f} ms")
-
-    num_jobs = 256 if quick else 1_024
-    type_names = ("k80", "a100")
-    specs = build_jobs(
-        generate_trace("1", num_jobs=num_jobs, seed=seed), seed=seed
-    )
-    pinned = pin_jobs(
-        specs, list(type_names), seed=seed, prefer_fraction=0.6
-    )
-
-    arm_cal = calibrate(repeats=1)
-    makespans: Dict[str, float] = {}
-    occupancy: Dict[str, Dict[str, float]] = {}
-    wall = 0.0
-    for label, placer in (
-        ("baseline", None),
-        ("aware", ThroughputAwarePlacer()),
-    ):
-        cluster = make_hetero_cluster(
-            8, 8, type_names=type_names, seed=seed
-        )
-        simulator = ClusterSimulator(
-            make_scheduler("muri-s"),
-            cluster=cluster,
-            landing_speed_scaling=DEFAULT_TYPE_SCALING,
-            placer=placer,
-        )
-        start = time.perf_counter()
-        result = simulator.run(pinned, "hetero-bench")
-        wall += time.perf_counter() - start
-        makespans[label] = result.makespan
-        occupancy[label] = {
-            name: round(value, 4)
-            for name, value in result.utilization_by_type().items()
-        }
-    arm_cal = min(arm_cal, calibrate(repeats=1))
-
-    placement = {
-        "jobs": num_jobs,
-        "makespan_baseline": makespans["baseline"],
-        "makespan_aware": makespans["aware"],
-        "improvement": 1.0 - makespans["aware"] / makespans["baseline"],
-        "makespan_ratio_normalized": (
-            makespans["aware"] / makespans["baseline"]
-        ),
-        "utilization_by_type": occupancy,
-        "run_seconds": wall,
-        "calibration": arm_cal,
-    }
-    note(
-        f"hetero_placement: baseline {makespans['baseline']:.0f} s, "
-        f"aware {makespans['aware']:.0f} s "
-        f"({placement['improvement']:.1%} better) in {wall:.1f} s wall"
-    )
-
-    benchmarks = {"hetero_placement": placement}
+    benchmarks: Dict[str, Dict[str, object]] = {}
+    for bench_name, entry in body(quick, seed):
+        benchmarks[bench_name] = entry
+        note(f"{bench_name}: " + ", ".join(
+            f"{key} {value * 1e3:.3f} ms" if key.endswith("seconds")
+            else f"{key} {value:g}"
+            for key, value in sorted(entry.items())
+            if key != "calibration" and isinstance(value, (int, float))
+        ))
     calibration = min(calibration, calibrate())
     _attach_normalized(benchmarks, calibration)
     return {
         "schema": SCHEMA_VERSION,
-        "suite": "hetero",
+        "suite": name,
         "quick": quick,
         "seed": seed,
         "calibration_seconds": calibration,

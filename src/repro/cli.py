@@ -47,6 +47,7 @@ from repro.analysis.experiments import (
     table2_interleaving_example,
 )
 from repro.analysis.report import format_series, format_speedup_table, format_table
+from repro.bench import SUITES, gated_metrics, run_suite, write_bench
 from repro.cluster.cluster import Cluster
 from repro.models.zoo import DEFAULT_MODELS, get_model
 from repro.observe import (
@@ -333,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the CI configuration: skip the largest "
                             "cold size and shorten the event streams")
     bench.add_argument("--suite", default="all",
-                       choices=("grouping", "service", "fleet",
-                                "elastic", "replay", "hetero", "all"),
+                       choices=(*SUITES, "all"),
                        help="which suite(s) to run")
     bench.add_argument("--out-dir", default=".",
                        help="directory the BENCH_*.json files are "
@@ -1034,42 +1034,14 @@ def _cmd_replay(args) -> int:
 def _cmd_bench(args) -> int:
     from pathlib import Path
 
-    from repro.bench import (
-        ELASTIC_BENCH_FILE,
-        FLEET_BENCH_FILE,
-        GROUPING_BENCH_FILE,
-        HETERO_BENCH_FILE,
-        REPLAY_BENCH_FILE,
-        SERVICE_BENCH_FILE,
-        gated_metrics,
-        run_elastic_suite,
-        run_fleet_suite,
-        run_grouping_suite,
-        run_hetero_suite,
-        run_replay_suite,
-        run_service_suite,
-        write_bench,
-    )
-
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suites = []
-    if args.suite in ("grouping", "all"):
-        suites.append((GROUPING_BENCH_FILE, run_grouping_suite))
-    if args.suite in ("service", "all"):
-        suites.append((SERVICE_BENCH_FILE, run_service_suite))
-    if args.suite in ("fleet", "all"):
-        suites.append((FLEET_BENCH_FILE, run_fleet_suite))
-    if args.suite in ("elastic", "all"):
-        suites.append((ELASTIC_BENCH_FILE, run_elastic_suite))
-    if args.suite in ("replay", "all"):
-        suites.append((REPLAY_BENCH_FILE, run_replay_suite))
-    if args.suite in ("hetero", "all"):
-        suites.append((HETERO_BENCH_FILE, run_hetero_suite))
-    for filename, run_suite in suites:
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    for name in names:
+        filename = SUITES[name][0]
         print(f"== {filename} ==")
         document = run_suite(
-            quick=args.quick, seed=args.seed,
+            name, quick=args.quick, seed=args.seed,
             progress=lambda line: print(f"   {line}"),
         )
         path = out_dir / filename

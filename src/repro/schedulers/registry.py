@@ -4,13 +4,12 @@
 schedulers — the CLI, the experiment harness, and the examples all go
 through it.  :func:`register_scheduler` adds project-local policies to
 the same namespace, and :func:`available_schedulers` lists what can be
-built.  Indexing :data:`SCHEDULERS` directly for construction still
-works but is deprecated in favour of the factory.
+built.  :data:`SCHEDULERS` is the plain name -> factory table behind
+all three.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional
 
 from repro.observe.tracer import Tracer
@@ -57,26 +56,7 @@ def _elastic_muri(policy: str) -> Callable[..., Scheduler]:
     return factory
 
 
-class _Registry(Dict[str, Callable[..., Scheduler]]):
-    """The scheduler-name -> factory table.
-
-    Direct indexing for construction (``SCHEDULERS["srsf"]()``) is the
-    pre-factory idiom and warns; use :func:`make_scheduler` instead.
-    Membership tests, iteration, and ``.get`` stay silent — they are
-    how the factory itself and the CLI inspect the table.
-    """
-
-    def __getitem__(self, key: str) -> Callable[..., Scheduler]:
-        warnings.warn(
-            "constructing schedulers via SCHEDULERS[name]() is deprecated; "
-            "use repro.make_scheduler(name, ...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return super().__getitem__(key)
-
-
-SCHEDULERS: Dict[str, Callable[..., Scheduler]] = _Registry({
+SCHEDULERS: Dict[str, Callable[..., Scheduler]] = {
     "fifo": FifoScheduler,
     "sjf": SjfScheduler,
     "srtf": SrtfScheduler,
@@ -91,7 +71,7 @@ SCHEDULERS: Dict[str, Callable[..., Scheduler]] = _Registry({
     "muri-l": _muri("las2d"),
     "elastic-muri": _elastic_muri("srsf"),
     "elastic-muri-l": _elastic_muri("las2d"),
-})
+}
 
 #: Baseline sets per evaluation scenario (Tables 4 and 5).
 KNOWN_DURATION = ("srtf", "srsf", "muri-s")
@@ -128,7 +108,7 @@ def register_scheduler(
             f"scheduler {name!r} is already registered; "
             "pass replace=True to overwrite"
         )
-    dict.__setitem__(SCHEDULERS, key, factory)
+    SCHEDULERS[key] = factory
 
 
 def make_scheduler(
@@ -174,7 +154,7 @@ def make_scheduler(
             f"unknown scheduler {name!r}; available: "
             f"{', '.join(available_schedulers())}"
         )
-    factory = SCHEDULERS.get(key)
+    factory = SCHEDULERS[key]
     if profiler is not None:
         kwargs["profiler"] = profiler
     scheduler = factory(**kwargs) if kwargs else factory()  # type: ignore[call-arg]

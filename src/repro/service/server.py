@@ -42,7 +42,11 @@ from repro.service.protocol import (
 )
 from repro.sim.metrics import SimulationResult
 
-__all__ = ["LineServer", "ServiceServer"]
+__all__ = ["FRAME_LIMIT", "LineServer", "ServiceServer"]
+
+#: Longest request line (bytes) the server reads: asyncio's default
+#: stream limit, passed explicitly so the error message can name it.
+FRAME_LIMIT = 2 ** 16
 
 
 class LineServer:
@@ -84,7 +88,7 @@ class LineServer:
                 linger period ends.
         """
         server = await asyncio.start_unix_server(
-            self._handle_client, path=self.path
+            self._handle_client, path=self.path, limit=FRAME_LIMIT
         )
         try:
             async with server:
@@ -115,11 +119,25 @@ class LineServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """One client connection: a request/response line loop."""
+        """One client connection: a request/response line loop.
+
+        A line longer than :data:`FRAME_LIMIT` gets one ``bad_request``
+        answer, then the connection closes: the frame boundary is lost,
+        so nothing after it can be parsed reliably.
+        """
         self._writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    writer.write(encode_line(error_response(
+                        "bad_request",
+                        f"request line exceeds the {FRAME_LIMIT}-byte "
+                        "frame limit",
+                    )))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:

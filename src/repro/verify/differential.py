@@ -27,6 +27,12 @@ correct implementations and compare:
   total bounds the heuristic's full-size groups from above; the
   heuristic must reach a configurable fraction of it.
 
+The end-to-end identity oracles (:mod:`repro.verify.hetero`,
+:mod:`repro.verify.elastic`, :mod:`repro.verify.fleet`) share the
+schedule diff defined here: :func:`simulate` runs one configuration,
+and :func:`require_identical` demands that two results agree on every
+field of :data:`SCHEDULE_FIELDS`.
+
 All mismatches raise :class:`~repro.verify.invariants.InvariantViolation`
 with a ``differential.*`` invariant name, so fuzzing and tests handle
 spec violations and optimization bugs uniformly.
@@ -35,6 +41,7 @@ spec violations and optimization bugs uniformly.
 from __future__ import annotations
 
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -45,6 +52,7 @@ from typing import (
     Tuple,
 )
 
+from repro.cluster.cluster import Cluster
 from repro.core.group import JobGroup
 from repro.core.grouping import GroupingResult, MultiRoundGrouper
 from repro.jobs.job import Job, JobSpec
@@ -55,9 +63,15 @@ from repro.matching.exact import brute_force_matching, exact_hypergraph_matching
 from repro.core.efficiency import efficiency_for_period
 from repro.core.ordering import best_ordering
 from repro.schedulers.base import Scheduler
+from repro.sim.metrics import SimulationResult
+from repro.sim.simulator import ClusterSimulator
 from repro.verify.invariants import InvariantViolation, check_group_wellformed
 
 __all__ = [
+    "SCHEDULE_FIELDS",
+    "diff_results",
+    "require_identical",
+    "simulate",
     "jobs_from_rows",
     "group_sets",
     "plan_signature",
@@ -68,6 +82,103 @@ __all__ = [
     "compare_groups_exact",
     "IncrementalOracle",
 ]
+
+
+#: The schedule two runs of one workload must share to count as
+#: identical.  Labels (``scheduler_name``, ``trace_name``) and
+#: ``wall_clock`` differ by design; per-generation occupancy
+#: (``gpu_seconds_by_type``, ``gpus_by_type``) exists only on typed
+#: clusters, so a homogeneous run and its single-type twin differ there
+#: and nowhere else.  ``makespan`` is ``max(finish_times)``.
+SCHEDULE_FIELDS = (
+    "jcts",
+    "finish_times",
+    "submit_times",
+    "total_preemptions",
+    "total_restart_time",
+    "timeseries",
+)
+
+
+def simulate(
+    scheduler: Scheduler,
+    specs: Sequence[JobSpec],
+    cluster: Cluster,
+    trace_name: str,
+    **sim_kwargs,
+) -> SimulationResult:
+    """Run ``specs`` through a fresh simulator; then close the scheduler.
+
+    Args:
+        scheduler: The scheduler under test; its ``close`` (worker
+            pools), if any, runs even when the simulation raises.
+        specs: The workload.
+        cluster: The cluster to run on.
+        trace_name: Workload label stamped on the result.
+        **sim_kwargs: Extra :class:`~repro.sim.ClusterSimulator`
+            arguments.
+    """
+    try:
+        simulator = ClusterSimulator(scheduler, cluster=cluster, **sim_kwargs)
+        return simulator.run(specs, trace_name=trace_name)
+    finally:
+        close = getattr(scheduler, "close", None)
+        if close is not None:
+            close()
+
+
+def diff_results(a: SimulationResult, b: SimulationResult) -> List[str]:
+    """The :data:`SCHEDULE_FIELDS` on which ``a`` and ``b`` differ, in order."""
+    return [
+        name for name in SCHEDULE_FIELDS
+        if getattr(a, name) != getattr(b, name)
+    ]
+
+
+def _mismatch(left: Any, right: Any) -> Dict[str, Any]:
+    """A compact report of how one field differs between two results."""
+    if isinstance(left, dict):
+        return {"diverging": sorted(
+            key for key in left.keys() | right.keys()
+            if left.get(key) != right.get(key)
+        )[:16]}
+    if isinstance(left, list):
+        return {"lengths": [len(left), len(right)], "first": next(
+            (i for i, (x, y) in enumerate(zip(left, right)) if x != y),
+            min(len(left), len(right)),
+        )}
+    return {"values": [left, right]}
+
+
+def require_identical(
+    invariant: str,
+    message: str,
+    a: SimulationResult,
+    b: SimulationResult,
+    **details: Any,
+) -> None:
+    """Raise unless ``a`` and ``b`` agree on every schedule field.
+
+    Raises:
+        InvariantViolation: With ``invariant``; ``details`` carries the
+            caller's context plus ``field`` (the first differing
+            field) and ``mismatches`` (a short report per differing
+            field).
+    """
+    differing = diff_results(a, b)
+    if differing:
+        raise InvariantViolation(
+            invariant,
+            f"{message} on {', '.join(differing)}",
+            details={
+                **details,
+                "field": differing[0],
+                "mismatches": {
+                    name: _mismatch(getattr(a, name), getattr(b, name))
+                    for name in differing
+                },
+            },
+        )
 
 
 def jobs_from_rows(
@@ -108,6 +219,31 @@ def _check_result(result: GroupingResult, label: str) -> None:
                     details={"path": label, "job": job.job_id},
                 )
             seen.add(job.job_id)
+
+
+def _require_same_groups(
+    invariant: str,
+    sides: Dict[str, GroupingResult],
+    groups_message: str,
+    ordering_message: str,
+) -> None:
+    """Two groupings must form the same groups with the same offsets."""
+    (_, left), (_, right) = sides.items()
+    if group_sets(left) != group_sets(right):
+        raise InvariantViolation(
+            invariant,
+            groups_message,
+            details={
+                label: sorted(map(sorted, group_sets(result)))
+                for label, result in sides.items()
+            },
+        )
+    offsets_of = lambda result: {
+        frozenset(job.job_id for job in group.jobs): tuple(group.offsets)
+        for group in result.groups
+    }
+    if offsets_of(left) != offsets_of(right):
+        raise InvariantViolation(invariant, ordering_message, details={})
 
 
 def plan_signature(
@@ -350,25 +486,12 @@ def compare_cold_cached(
     warm_grouper.group(jobs, capacity=capacity)
     cached = warm_grouper.group(jobs, capacity=capacity)
 
-    if group_sets(cold) != group_sets(cached):
-        raise InvariantViolation(
-            "differential.cache",
-            "cache-served grouping disagrees with the cold path",
-            details={
-                "cold": sorted(map(sorted, group_sets(cold))),
-                "cached": sorted(map(sorted, group_sets(cached))),
-            },
-        )
-    offsets_of = lambda result: {
-        frozenset(job.job_id for job in group.jobs): tuple(group.offsets)
-        for group in result.groups
-    }
-    if offsets_of(cold) != offsets_of(cached):
-        raise InvariantViolation(
-            "differential.cache",
-            "cache-served grouping changed a group's stage ordering",
-            details={},
-        )
+    _require_same_groups(
+        "differential.cache",
+        {"cold": cold, "cached": cached},
+        "cache-served grouping disagrees with the cold path",
+        "cache-served grouping changed a group's stage ordering",
+    )
     return cold, cached
 
 
@@ -412,26 +535,13 @@ def compare_parallel_serial(
     _check_result(serial, "serial")
     _check_result(parallel, "parallel")
 
-    if group_sets(serial) != group_sets(parallel):
-        raise InvariantViolation(
-            "differential.parallel",
-            f"parallel grouping (workers={workers}) formed different "
-            f"groups than the serial path",
-            details={
-                "serial": sorted(map(sorted, group_sets(serial))),
-                "parallel": sorted(map(sorted, group_sets(parallel))),
-            },
-        )
-    offsets_of = lambda result: {
-        frozenset(job.job_id for job in group.jobs): tuple(group.offsets)
-        for group in result.groups
-    }
-    if offsets_of(serial) != offsets_of(parallel):
-        raise InvariantViolation(
-            "differential.parallel",
-            "parallel grouping changed a group's stage ordering",
-            details={},
-        )
+    _require_same_groups(
+        "differential.parallel",
+        {"serial": serial, "parallel": parallel},
+        f"parallel grouping (workers={workers}) formed different "
+        f"groups than the serial path",
+        "parallel grouping changed a group's stage ordering",
+    )
     if abs(serial.total_efficiency - parallel.total_efficiency) > 0.0:
         raise InvariantViolation(
             "differential.parallel",

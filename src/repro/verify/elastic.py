@@ -5,9 +5,10 @@ Two guarantees back ``repro.elastic`` (see ``docs/elastic.md``):
 * **Degeneracy** — :func:`compare_flat_identity`: on a workload with
   no usable scalability curve (every job rigid or flat-profiled),
   :class:`~repro.elastic.ElasticMuriScheduler` must reproduce
-  :class:`~repro.core.muri.MuriScheduler` *bit-identically* — same
-  JCTs, same finish times, same preemption counts, same cluster
-  time series.  Renegotiation returns early without touching any
+  :class:`~repro.core.muri.MuriScheduler` *bit-identically* on every
+  field of :data:`~repro.verify.differential.SCHEDULE_FIELDS` — JCTs,
+  finish and submit times, preemption counts, restart time, and the
+  cluster time series.  Renegotiation returns early without touching any
   scheduler state, so the inherited ``decide`` is provably the same
   code on the same inputs; this oracle certifies it end to end.
 * **Cache soundness under resizes** — :func:`run_elastic_oracle`:
@@ -30,30 +31,13 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.cluster.cluster import Cluster
 from repro.jobs.job import JobSpec
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import ClusterSimulator
-from repro.verify.differential import IncrementalOracle
-from repro.verify.invariants import InvariantViolation
+from repro.verify.differential import (
+    IncrementalOracle,
+    require_identical,
+    simulate,
+)
 
 __all__ = ["compare_flat_identity", "run_elastic_oracle"]
-
-
-def _simulate(
-    scheduler,
-    specs: Sequence[JobSpec],
-    cluster_shape: Tuple[int, int],
-    sim_kwargs: Dict,
-    trace_name: str,
-) -> SimulationResult:
-    machines, gpus = cluster_shape
-    simulator = ClusterSimulator(
-        scheduler, cluster=Cluster(machines, gpus), **sim_kwargs
-    )
-    try:
-        return simulator.run(specs, trace_name=trace_name)
-    finally:
-        close = getattr(scheduler, "close", None)
-        if close is not None:
-            close()
 
 
 def compare_flat_identity(
@@ -99,50 +83,22 @@ def compare_flat_identity(
     scheduler_kwargs = dict(scheduler_kwargs or {})
     sim_kwargs = dict(sim_kwargs or {})
 
-    baseline = _simulate(
+    machines, gpus = cluster_shape
+    baseline = simulate(
         MuriScheduler(policy=policy, **scheduler_kwargs),
-        specs, cluster_shape, sim_kwargs, trace_name,
+        specs, Cluster(machines, gpus), trace_name, **sim_kwargs,
     )
-    elastic = _simulate(
+    elastic = simulate(
         ElasticMuriScheduler(policy=policy, **scheduler_kwargs),
-        specs, cluster_shape, sim_kwargs, trace_name,
+        specs, Cluster(machines, gpus), trace_name, **sim_kwargs,
     )
-
-    mismatches = {}
-    if baseline.jcts != elastic.jcts:
-        mismatches["jcts"] = {
-            "baseline_jobs": len(baseline.jcts),
-            "elastic_jobs": len(elastic.jcts),
-            "diverging": sorted(
-                job_id
-                for job_id in set(baseline.jcts) | set(elastic.jcts)
-                if baseline.jcts.get(job_id) != elastic.jcts.get(job_id)
-            )[:16],
-        }
-    if baseline.finish_times != elastic.finish_times:
-        mismatches["finish_times"] = True
-    if baseline.total_preemptions != elastic.total_preemptions:
-        mismatches["total_preemptions"] = {
-            "baseline": baseline.total_preemptions,
-            "elastic": elastic.total_preemptions,
-        }
-    if baseline.total_restart_time != elastic.total_restart_time:
-        mismatches["total_restart_time"] = {
-            "baseline": baseline.total_restart_time,
-            "elastic": elastic.total_restart_time,
-        }
-    if baseline.timeseries != elastic.timeseries:
-        mismatches["timeseries"] = {
-            "baseline_points": len(baseline.timeseries),
-            "elastic_points": len(elastic.timeseries),
-        }
-    if mismatches:
-        raise InvariantViolation(
-            "differential.elastic_flat",
-            "ElasticMuriScheduler diverged from MuriScheduler on a "
-            "flat workload (degeneracy guarantee broken)",
-            details={"mismatches": mismatches},
-        )
+    require_identical(
+        "differential.elastic_flat",
+        "ElasticMuriScheduler diverged from MuriScheduler on a "
+        "flat workload (degeneracy guarantee broken)",
+        baseline,
+        elastic,
+    )
     return baseline, elastic
 
 
@@ -201,8 +157,9 @@ def run_elastic_oracle(
             **scheduler_kwargs,
         )
 
+    machines, gpus = cluster_shape
     oracle = IncrementalOracle(build(), build)
-    result = _simulate(
-        oracle, specs, cluster_shape, sim_kwargs, trace_name
+    result = simulate(
+        oracle, specs, Cluster(machines, gpus), trace_name, **sim_kwargs
     )
     return result, oracle.checks

@@ -24,29 +24,9 @@ from repro.fleet.frontend import FleetFrontEnd
 from repro.fleet.shard import SchedulerShard
 from repro.fleet.topology import VirtualCluster
 from repro.sim.metrics import SimulationResult
-from repro.verify.invariants import InvariantViolation
+from repro.verify.differential import require_identical
 
 __all__ = ["compare_fleet_serial"]
-
-
-def _compare_field(
-    vc: str,
-    field: str,
-    sharded: object,
-    serial: object,
-) -> None:
-    """One field of the per-VC results must match exactly."""
-    if sharded != serial:
-        raise InvariantViolation(
-            "differential.fleet",
-            f"shard {vc!r} diverged from its serial replay on {field}",
-            details={
-                "vc": vc,
-                "field": field,
-                "sharded": repr(sharded)[:2000],
-                "serial": repr(serial)[:2000],
-            },
-        )
 
 
 def compare_fleet_serial(
@@ -59,10 +39,11 @@ def compare_fleet_serial(
     there are re-submitted in admission order to a fresh standalone
     shard, which then drains on its own.  Specs are immutable and job
     ids fleet-unique, so the serial run reproduces the exact stream —
-    and every per-shard result field (JCTs, finish times, submit
-    times, preemptions, makespan) must match with ``==``, no
-    tolerance.  A divergence means fleet routing or shard isolation
-    leaked state into scheduling decisions.
+    and every field of :data:`~repro.verify.differential.SCHEDULE_FIELDS`
+    (JCTs, finish and submit times, preemptions, restart time, the
+    cluster time series; hence also the makespan) must match with
+    ``==``, no tolerance.  A divergence means fleet routing or shard
+    isolation leaked state into scheduling decisions.
 
     Args:
         frontend: A fleet that has fully drained (``run_sync``/``run``
@@ -77,7 +58,8 @@ def compare_fleet_serial(
 
     Raises:
         InvariantViolation: With invariant ``differential.fleet`` on
-            the first diverging shard/field.
+            the first diverging shard; ``details`` names its ``vc`` and
+            first differing ``field``.
         ValueError: When the fleet has not drained yet.
     """
     if frontend.result is None:
@@ -100,20 +82,11 @@ def compare_fleet_serial(
         sharded = frontend.shards[vc.name].service.result
         if sharded is None:
             raise ValueError(f"fleet shard {vc.name!r} never drained")
-        _compare_field(vc.name, "jcts", sharded.jcts, serial.jcts)
-        _compare_field(
-            vc.name, "finish_times", sharded.finish_times, serial.finish_times
-        )
-        _compare_field(
-            vc.name, "submit_times", sharded.submit_times, serial.submit_times
-        )
-        _compare_field(
-            vc.name,
-            "total_preemptions",
-            sharded.total_preemptions,
-            serial.total_preemptions,
-        )
-        _compare_field(
-            vc.name, "makespan", sharded.makespan, serial.makespan
+        require_identical(
+            "differential.fleet",
+            f"shard {vc.name!r} diverged from its serial replay",
+            sharded,
+            serial,
+            vc=vc.name,
         )
     return serial_results

@@ -8,9 +8,11 @@ cache-key suffixes — must collapse into a no-op.
 :func:`compare_homogeneous_identity` certifies it end to end by
 running the single-type heterogeneous configuration against a plain
 homogeneous cluster whose jobs carry the *identical pre-scaled
-profiles* but no affinity, and demanding bit-identical results: same
-JCTs, same finish times, same preemption counts, same cluster time
-series.
+profiles* but no affinity, and demanding bit-identical schedules on
+every field of :data:`~repro.verify.differential.SCHEDULE_FIELDS`:
+JCTs, finish and submit times, preemption counts, restart time, and
+the cluster time series.  Per-generation occupancy is excluded — only
+the typed side records it.
 
 Mismatches raise :class:`~repro.verify.invariants.InvariantViolation`
 with invariant name ``differential.homogeneous``, matching the other
@@ -35,29 +37,12 @@ from repro.hetero.types import GPU_GENERATIONS, TypeScaling, get_gpu_type
 from repro.hetero.workload import make_hetero_cluster, pin_jobs
 from repro.jobs.job import JobSpec
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import ClusterSimulator
-from repro.verify.invariants import InvariantViolation
+from repro.verify.differential import require_identical, simulate
 
 __all__ = [
     "compare_homogeneous_identity",
     "compare_uniform_scaling_identity",
 ]
-
-
-def _simulate(
-    scheduler,
-    specs: Sequence[JobSpec],
-    cluster: Cluster,
-    sim_kwargs: Dict,
-    trace_name: str,
-) -> SimulationResult:
-    simulator = ClusterSimulator(scheduler, cluster=cluster, **sim_kwargs)
-    try:
-        return simulator.run(specs, trace_name=trace_name)
-    finally:
-        close = getattr(scheduler, "close", None)
-        if close is not None:
-            close()
 
 
 def compare_homogeneous_identity(
@@ -108,70 +93,28 @@ def compare_homogeneous_identity(
     pinned = pin_jobs(specs, [type_name], seed=seed, scaling=scaling)
     stripped = [replace(spec, gpu_affinity=None) for spec in pinned]
 
-    homogeneous = _simulate(
+    homogeneous = simulate(
         make_scheduler(scheduler),
         stripped,
         Cluster(machines, gpus),
-        sim_kwargs,
         trace_name,
+        **sim_kwargs,
     )
-    hetero = _simulate(
+    hetero = simulate(
         make_scheduler(scheduler),
         pinned,
         Cluster(machines, gpus, machine_types=[gpu_type] * machines),
-        sim_kwargs,
         trace_name,
+        **sim_kwargs,
     )
-
-    mismatches = _result_mismatches(
-        homogeneous, hetero, "homogeneous", "hetero"
+    require_identical(
+        "differential.homogeneous",
+        f"single-type ({type_name}) heterogeneous run diverged from "
+        "the homogeneous baseline (affinity no-op guarantee broken)",
+        homogeneous,
+        hetero,
     )
-    if mismatches:
-        raise InvariantViolation(
-            "differential.homogeneous",
-            f"single-type ({type_name}) heterogeneous run diverged from "
-            "the homogeneous baseline (affinity no-op guarantee broken)",
-            details={"mismatches": mismatches},
-        )
     return homogeneous, hetero
-
-
-def _result_mismatches(
-    left: SimulationResult,
-    right: SimulationResult,
-    left_label: str,
-    right_label: str,
-) -> Dict[str, object]:
-    """Full-surface divergence report between two simulation results."""
-    mismatches: Dict[str, object] = {}
-    if left.jcts != right.jcts:
-        mismatches["jcts"] = {
-            f"{left_label}_jobs": len(left.jcts),
-            f"{right_label}_jobs": len(right.jcts),
-            "diverging": sorted(
-                job_id
-                for job_id in set(left.jcts) | set(right.jcts)
-                if left.jcts.get(job_id) != right.jcts.get(job_id)
-            )[:16],
-        }
-    if left.finish_times != right.finish_times:
-        mismatches["finish_times"] = True
-    if left.total_preemptions != right.total_preemptions:
-        mismatches["total_preemptions"] = {
-            left_label: left.total_preemptions,
-            right_label: right.total_preemptions,
-        }
-    if left.total_restart_time != right.total_restart_time:
-        mismatches["total_restart_time"] = {
-            left_label: left.total_restart_time,
-            right_label: right.total_restart_time,
-        }
-    if left.timeseries != right.timeseries:
-        mismatches["timeseries"] = {
-            f"{left_label}_points": len(left.timeseries),
-            f"{right_label}_points": len(right.timeseries),
-        }
-    return mismatches
 
 
 def compare_uniform_scaling_identity(
@@ -192,8 +135,9 @@ def compare_uniform_scaling_identity(
     :class:`~repro.cluster.placement.ThroughputAwarePlacer` must make
     exactly the decisions today's
     :class:`~repro.cluster.placement.DescendingPlacer` path makes —
-    same plans, bit-identical results.  Both runs share one
-    mixed-generation cluster layout, one uniformly-scaled
+    same plans, bit-identical schedules on every field of
+    :data:`~repro.verify.differential.SCHEDULE_FIELDS`.  Both runs
+    share one mixed-generation cluster layout, one uniformly-scaled
     pinned/preferred workload, and the same
     ``landing_speed_scaling``; the only difference is the placer,
     exactly the surface this oracle pins down.  With the default
@@ -247,32 +191,21 @@ def compare_uniform_scaling_identity(
             machines, gpus, type_names=tuple(type_names), seed=seed
         )
 
-    baseline = _simulate(
-        make_scheduler(scheduler),
-        pinned,
-        typed_cluster(),
-        dict(sim_kwargs, landing_speed_scaling=uniform),
-        trace_name,
+    sim_kwargs["landing_speed_scaling"] = uniform
+    baseline = simulate(
+        make_scheduler(scheduler), pinned, typed_cluster(), trace_name,
+        **sim_kwargs,
     )
-    aware = _simulate(
-        make_scheduler(scheduler),
-        pinned,
-        typed_cluster(),
-        dict(
-            sim_kwargs,
-            landing_speed_scaling=uniform,
-            placer=ThroughputAwarePlacer(scaling=uniform),
-        ),
-        trace_name,
+    aware = simulate(
+        make_scheduler(scheduler), pinned, typed_cluster(), trace_name,
+        **dict(sim_kwargs, placer=ThroughputAwarePlacer(scaling=uniform)),
     )
-
-    mismatches = _result_mismatches(baseline, aware, "baseline", "aware")
-    if mismatches:
-        raise InvariantViolation(
-            "differential.uniform_scaling",
-            "throughput-aware placement diverged from the default "
-            "placer under uniform speed factors (degeneracy promise "
-            "broken)",
-            details={"mismatches": mismatches},
-        )
+    require_identical(
+        "differential.uniform_scaling",
+        "throughput-aware placement diverged from the default "
+        "placer under uniform speed factors (degeneracy promise "
+        "broken)",
+        baseline,
+        aware,
+    )
     return baseline, aware

@@ -1,6 +1,7 @@
 """The shard-vs-serial differential oracle (bit-identity)."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -74,6 +75,18 @@ def test_oracle_detects_divergence():
     assert violation.invariant == "differential.fleet"
     assert violation.details["vc"] == "vc0"
     assert violation.details["field"] == "jcts"
+
+
+def test_oracle_detects_timeseries_divergence():
+    frontend = run_fleet("fifo", count=12)
+    timeseries = frontend.shards["vc0"].service.result.timeseries
+    timeseries[-1] = replace(timeseries[-1], span=timeseries[-1].span + 1.0)
+    with pytest.raises(InvariantViolation) as excinfo:
+        compare_fleet_serial(frontend, factory("fifo"))
+    violation = excinfo.value
+    assert violation.invariant == "differential.fleet"
+    assert violation.details["vc"] == "vc0"
+    assert violation.details["field"] == "timeseries"
 
 
 def test_oracle_detects_mismatched_factory():

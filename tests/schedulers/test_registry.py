@@ -88,7 +88,7 @@ def test_make_scheduler_attaches_tracer_to_registered_factory():
         assert scheduler.tracer is tracer
         assert scheduler.grouper.tracer is tracer
     finally:
-        dict.pop(SCHEDULERS, "test-muri")
+        SCHEDULERS.pop("test-muri")
 
 
 def test_make_scheduler_configures_tracer_on_baselines():
@@ -122,7 +122,7 @@ def test_register_scheduler():
         assert "test-fifo" in available_schedulers()
         assert isinstance(make_scheduler("Test-FIFO"), FifoScheduler)
     finally:
-        dict.pop(SCHEDULERS, "test-fifo")
+        SCHEDULERS.pop("test-fifo")
 
 
 def test_register_scheduler_rejects_collision():
@@ -136,13 +136,7 @@ def test_register_scheduler_replace():
     try:
         assert SCHEDULERS.get("fifo") is FifoScheduler
     finally:
-        dict.__setitem__(SCHEDULERS, "fifo", original)
-
-
-def test_direct_indexing_is_deprecated():
-    with pytest.warns(DeprecationWarning):
-        factory = SCHEDULERS["srsf"]
-    assert factory().name == "SRSF"
+        SCHEDULERS["fifo"] = original
 
 
 def test_non_indexing_access_does_not_warn(recwarn):

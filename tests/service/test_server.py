@@ -2,12 +2,14 @@
 
 import asyncio
 import os
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.fleet import FleetFrontEnd, FleetServer, partition_cluster
 from repro.jobs.job import JobSpec
 from repro.jobs.stage import StageProfile
 from repro.schedulers.classic import FifoScheduler
@@ -19,6 +21,8 @@ from repro.service import (
     SubmitRejected,
     WallClock,
 )
+from repro.service.protocol import decode_line
+from repro.service.server import FRAME_LIMIT
 from repro.sim.contention import IDEAL_CONTENTION
 from repro.sim.simulator import ClusterSimulator
 
@@ -122,13 +126,45 @@ def test_cancel_over_the_socket(serve_on):
     assert client.status(job_id)["status"] == "failed"
 
 
-def test_submit_dict_payload_deprecated(served):
-    client, _server, _thread = served
-    with pytest.warns(DeprecationWarning):
-        submitted = client.submit({
-            "durations": [0.25, 0.25, 0.25, 0.25],
-            "num_gpus": 1,
-            "num_iterations": 5,
-        })
-    assert client.status(submitted.job_id)["status"] in (
-        "pending", "running", "finished")
+def _service_server(path):
+    simulator = ClusterSimulator(FifoScheduler(), cluster=Cluster(1, 2))
+    return ServiceServer(SchedulerService(simulator), path, linger=2.0)
+
+
+def _fleet_server(path):
+    frontend = FleetFrontEnd.build(partition_cluster(4, 4, 2), scheduler="fifo")
+    return FleetServer(frontend, path, linger=2.0)
+
+
+@pytest.mark.parametrize(
+    "make_server", [_service_server, _fleet_server], ids=["service", "fleet"]
+)
+def test_oversize_request_line_gets_one_bad_request(tmp_path, make_server):
+    # Both servers inherit LineServer's loop: a line past the frame
+    # limit is answered once, that connection closes, others carry on.
+    path = str(tmp_path / "oversize.sock")
+    server = make_server(path)
+    thread = threading.Thread(
+        target=lambda: asyncio.run(server.serve()), daemon=True
+    )
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while not os.path.exists(path):
+        assert time.monotonic() < deadline, "server socket never appeared"
+        time.sleep(0.01)
+    bystander = ServiceClient(path, timeout=30.0)
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(30.0)
+            raw.connect(path)
+            raw.sendall(b"x" * 70_000 + b"\n")
+            replies = raw.makefile("rb")
+            response = decode_line(replies.readline())
+            assert response["error"] == "bad_request"
+            assert str(FRAME_LIMIT) in response["message"]
+            assert replies.readline() == b""
+        assert bystander.ping() is True
+    finally:
+        bystander.drain()
+        bystander.close()
+        thread.join(timeout=10.0)

@@ -8,19 +8,24 @@ gate sees.
 
 from pathlib import Path
 
+import pytest
+
 from repro.bench import (
-    ELASTIC_BENCH_FILE,
-    FLEET_BENCH_FILE,
-    GROUPING_BENCH_FILE,
-    HETERO_BENCH_FILE,
     SCHEMA_VERSION,
-    SERVICE_BENCH_FILE,
+    SUITES,
     calibrate,
     gated_metrics,
     load_bench,
     write_bench,
 )
 from repro.bench.suite import _make_jobs, _percentile
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def committed(suite):
+    """The committed baseline document of one suite."""
+    return load_bench(REPO_ROOT / SUITES[suite][0])
 
 
 class TestWorkloads:
@@ -97,26 +102,27 @@ class TestGatedMetrics:
 
 class TestRoundTrip:
     def test_write_then_load(self, tmp_path):
-        path = tmp_path / GROUPING_BENCH_FILE
+        path = tmp_path / SUITES["grouping"][0]
         write_bench(_document(), path)
         assert load_bench(path) == _document()
 
     def test_file_constants_are_distinct(self):
-        assert len({
-            GROUPING_BENCH_FILE, SERVICE_BENCH_FILE, FLEET_BENCH_FILE,
-            ELASTIC_BENCH_FILE, HETERO_BENCH_FILE,
-        }) == 5
+        filenames = [filename for filename, _body in SUITES.values()]
+        assert len(set(filenames)) == len(SUITES) == 6
 
 
 class TestCommittedBaselines:
     """The repo-root BENCH files must stay loadable and acceptable."""
 
-    REPO_ROOT = Path(__file__).resolve().parent.parent
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_every_suite_has_a_gated_baseline(self, suite):
+        doc = committed(suite)
+        assert doc["schema"] == SCHEMA_VERSION
+        assert doc["suite"] == suite
+        assert gated_metrics(doc)
 
     def test_grouping_baseline(self):
-        doc = load_bench(self.REPO_ROOT / GROUPING_BENCH_FILE)
-        assert doc["schema"] == SCHEMA_VERSION
-        assert doc["suite"] == "grouping"
+        doc = committed("grouping")
         cold = doc["benchmarks"]["cold_group_1024"]
         # The PR acceptance bar: >= 3x faster than the ~2.5 s PR-1
         # baseline for a 1,024-job cold grouping.
@@ -125,15 +131,11 @@ class TestCommittedBaselines:
         assert warm["p99_seconds"] < 0.010
 
     def test_service_baseline(self):
-        doc = load_bench(self.REPO_ROOT / SERVICE_BENCH_FILE)
-        assert doc["schema"] == SCHEMA_VERSION
-        assert doc["suite"] == "service"
+        doc = committed("service")
         assert gated_metrics(doc)
 
     def test_fleet_baseline(self):
-        doc = load_bench(self.REPO_ROOT / FLEET_BENCH_FILE)
-        assert doc["schema"] == SCHEMA_VERSION
-        assert doc["suite"] == "fleet"
+        doc = committed("fleet")
         gated = gated_metrics(doc)
         assert "fleet_submit.p99_normalized" in gated
         assert "fleet_drain.job_normalized" in gated
@@ -143,9 +145,7 @@ class TestCommittedBaselines:
         assert submit["p99_seconds"] < 0.001
 
     def test_elastic_baseline(self):
-        doc = load_bench(self.REPO_ROOT / ELASTIC_BENCH_FILE)
-        assert doc["schema"] == SCHEMA_VERSION
-        assert doc["suite"] == "elastic"
+        doc = committed("elastic")
         gated = gated_metrics(doc)
         assert "cold_elastic_group.normalized" in gated
         assert "renegotiate_step.p99_normalized" in gated
@@ -158,9 +158,7 @@ class TestCommittedBaselines:
         assert step["p99_seconds"] < 0.010
 
     def test_hetero_baseline(self):
-        doc = load_bench(self.REPO_ROOT / HETERO_BENCH_FILE)
-        assert doc["schema"] == SCHEMA_VERSION
-        assert doc["suite"] == "hetero"
+        doc = committed("hetero")
         gated = gated_metrics(doc)
         # The placement claim is the gate: the ratio is simulated time
         # (aware / baseline), so it must sit strictly under 1.0.

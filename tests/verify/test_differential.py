@@ -1,17 +1,26 @@
 """Differential oracles: optimized grouping/matching vs the slow twins."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.jobs.job import JobSpec
+from repro.jobs.stage import StageProfile
 from repro.matching.exact import brute_force_matching
+from repro.schedulers.registry import make_scheduler
 from repro.verify.differential import (
+    SCHEDULE_FIELDS,
     compare_cold_cached,
     compare_dense_sparse,
     compare_groups_exact,
     compare_pairs_exact,
+    diff_results,
     group_sets,
     jobs_from_rows,
+    require_identical,
+    simulate,
 )
 from repro.verify.invariants import InvariantViolation
 
@@ -122,3 +131,73 @@ class TestGroupsExact:
         with pytest.raises(InvariantViolation) as exc:
             compare_groups_exact(jobs)
         assert exc.value.invariant == "differential.optimality"
+
+
+@pytest.fixture(scope="module")
+def schedule():
+    """A real Muri-S result with restarts, a queue, and a time series."""
+    rng = random.Random(3)
+    specs = [
+        JobSpec(
+            profile=StageProfile(tuple(
+                round(rng.uniform(0.1, 2.0), 3) for _ in range(4)
+            )),
+            num_gpus=rng.choice((1, 2, 4)),
+            num_iterations=rng.randint(20, 200),
+            submit_time=float(10 * i),
+        )
+        for i in range(24)
+    ]
+    return simulate(make_scheduler("muri-s"), specs, Cluster(2, 4), "diff")
+
+
+def perturb(value):
+    """The same value with one element (or the scalar) changed."""
+    if isinstance(value, dict):
+        key = next(iter(value))
+        return {**value, key: value[key] + 1}
+    if isinstance(value, list):
+        return value[:-1]
+    return value + 1
+
+
+class TestScheduleDiff:
+    def test_a_copy_is_identical(self, schedule):
+        twin = replace(schedule)
+        assert diff_results(schedule, twin) == []
+        require_identical("differential.test", "diverged", schedule, twin)
+
+    @pytest.mark.parametrize("field", SCHEDULE_FIELDS)
+    def test_names_exactly_the_perturbed_field(self, schedule, field):
+        twin = replace(schedule, **{field: perturb(getattr(schedule, field))})
+        assert diff_results(schedule, twin) == [field]
+        with pytest.raises(InvariantViolation) as excinfo:
+            require_identical(
+                "differential.test", "diverged", schedule, twin, side="b"
+            )
+        violation = excinfo.value
+        assert violation.invariant == "differential.test"
+        assert violation.details["field"] == field
+        assert list(violation.details["mismatches"]) == [field]
+        assert violation.details["side"] == "b"
+
+    def test_labels_and_occupancy_are_not_schedule(self, schedule):
+        twin = replace(
+            schedule,
+            scheduler_name="other",
+            trace_name="other",
+            wall_clock=schedule.wall_clock + 1.0,
+            gpu_seconds_by_type={"v100": 1.0},
+            gpus_by_type={"v100": 8},
+        )
+        assert diff_results(schedule, twin) == []
+
+    def test_simulate_closes_the_scheduler(self):
+        scheduler = make_scheduler("fifo")
+        closed = []
+        scheduler.close = lambda: closed.append(True)
+        spec = JobSpec(profile=StageProfile((1.0, 1.0, 1.0, 1.0)),
+                       num_iterations=5)
+        result = simulate(scheduler, [spec], Cluster(1, 1), "one")
+        assert result.num_jobs == 1
+        assert closed == [True]
