@@ -553,7 +553,10 @@ def _replay(quick: bool, seed: int):
       job plus the p99 simulator-step latency from
       :class:`~repro.replay.ReplayStats`.  One round: the run is
       deterministic and minutes long at full size, so repeats would
-      only resample jitter the adjacent calibration already cancels.
+      only resample jitter the adjacent calibration already cancels;
+    * **replay_run_muri** — the same replay under the paper's
+      scheduler, Muri-S, so the gate also covers grouping on the
+      replay path.
     """
     import tempfile
 
@@ -587,11 +590,11 @@ def _replay(quick: bool, seed: int):
     yield "csv_ingest", ingest
 
     specs = build_jobs(ingested, seed=seed)
-    simulator = ClusterSimulator(
-        make_scheduler("fifo"), cluster=Cluster(256, 8)
-    )
 
-    def replay_trial() -> Dict[str, object]:
+    def replay_trial(scheduler_name: str) -> Dict[str, object]:
+        simulator = ClusterSimulator(
+            make_scheduler(scheduler_name), cluster=Cluster(256, 8)
+        )
         result, stats = replay_trace(
             simulator, specs, ingested.name, batch_step_seconds=300.0
         )
@@ -604,7 +607,13 @@ def _replay(quick: bool, seed: int):
             "p99_step_seconds": stats.step_seconds_p99,
         }
 
-    yield "replay_run", {"jobs": num_jobs, **_best_of(1, replay_trial)}
+    for name, scheduler_name in (
+        ("replay_run", "fifo"), ("replay_run_muri", "muri-s")
+    ):
+        yield name, {
+            "jobs": num_jobs,
+            **_best_of(1, lambda: replay_trial(scheduler_name)),
+        }
 
 
 # -- hetero ------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.machine import GpuSlot, GpuType, Machine
 
-__all__ = ["Cluster", "Allocation"]
+__all__ = ["Cluster", "Allocation", "FreePool"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,36 @@ class Allocation:
     def spans_machines(self) -> bool:
         """True when the allocation crosses a machine boundary."""
         return len(self.machine_ids) > 1
+
+
+class FreePool:
+    """Free-slot index of one placement pool.
+
+    A pool is the set of machines one type-affinity key selects
+    (:meth:`Machine.matches_type`).  Placement reads this index instead
+    of scanning the machines.
+
+    Attributes:
+        free: Free GPU slots across the pool's machines.
+        buckets: ``buckets[k]`` holds, ascending, the ids of the
+            pool's machines with exactly ``k`` free slots.
+    """
+
+    __slots__ = ("free", "buckets")
+
+    def __init__(self, max_free: int) -> None:
+        self.free = 0
+        self.buckets: List[List[int]] = [[] for _ in range(max_free + 1)]
+
+    def _add(self, machine_id: int, free: int) -> None:
+        insort(self.buckets[free], machine_id)
+        self.free += free
+
+    def _move(self, machine_id: int, old: int, new: int) -> None:
+        bucket = self.buckets[old]
+        del bucket[bisect_left(bucket, machine_id)]
+        insort(self.buckets[new], machine_id)
+        self.free += new - old
 
 
 class Cluster:
@@ -72,6 +103,23 @@ class Cluster:
             for i in range(num_machines)
         ]
         self._allocations: Dict[int, Allocation] = {}
+        self._total_gpus = sum(m.num_gpus for m in self.machines)
+        # One free-slot index per affinity key: None (every machine)
+        # and each GPU generation.  allocate and release keep them
+        # current; nothing else may change a machine's slots.
+        max_free = max(m.num_gpus for m in self.machines)
+        self._pools: Dict[Optional[str], FreePool] = {None: FreePool(max_free)}
+        self._pools_of: List[Tuple[FreePool, ...]] = []
+        for machine in self.machines:
+            pools = [self._pools[None]]
+            if machine.gpu_type is not None:
+                name = machine.gpu_type.name
+                if name not in self._pools:
+                    self._pools[name] = FreePool(max_free)
+                pools.append(self._pools[name])
+            for pool in pools:
+                pool._add(machine.machine_id, machine.free_gpu_count)
+            self._pools_of.append(tuple(pools))
 
     # -- GPU generations ------------------------------------------------------
 
@@ -95,15 +143,26 @@ class Cluster:
         gpu_type = self.machines[machine_id].gpu_type
         return None if gpu_type is None else gpu_type.name
 
+    def free_pool(self, type_name: Optional[str]) -> FreePool:
+        """Free-slot index of the machines a type-affinity key selects.
+
+        The returned index is live: read it, never mutate it.  A
+        generation absent from the cluster selects an empty pool.
+        """
+        pool = self._pools.get(type_name)
+        if pool is None:
+            return FreePool(0)
+        return pool
+
     # -- capacity -------------------------------------------------------------
 
     @property
     def total_gpus(self) -> int:
-        return sum(m.num_gpus for m in self.machines)
+        return self._total_gpus
 
     @property
     def free_gpus(self) -> int:
-        return sum(m.free_gpu_count for m in self.machines)
+        return self._pools[None].free
 
     @property
     def allocated_gpus(self) -> int:
@@ -138,7 +197,11 @@ class Cluster:
                 )
         slots: List[GpuSlot] = []
         for machine_id, count in slot_plan.items():
-            slots.extend(self.machines[machine_id].allocate(count, owner))
+            machine = self.machines[machine_id]
+            free = machine.free_gpu_count
+            slots.extend(machine.allocate(count, owner))
+            for pool in self._pools_of[machine_id]:
+                pool._move(machine_id, free, free - count)
         allocation = Allocation(owner=owner, slots=tuple(slots))
         self._allocations[owner] = allocation
         return allocation
@@ -154,7 +217,11 @@ class Cluster:
         for slot in allocation.slots:
             by_machine.setdefault(slot.machine_id, []).append(slot)
         for machine_id, slots in by_machine.items():
-            self.machines[machine_id].release(slots)
+            machine = self.machines[machine_id]
+            free = machine.free_gpu_count
+            machine.release(slots)
+            for pool in self._pools_of[machine_id]:
+                pool._move(machine_id, free, free + len(slots))
 
     def allocation_of(self, owner: int) -> Optional[Allocation]:
         return self._allocations.get(owner)

@@ -21,9 +21,13 @@ On heterogeneous clusters every policy accepts a *type affinity*
 (``gpu_type`` plus ``prefer``): a pinned demand only considers
 machines of that GPU generation, a preferred demand tries them first
 and falls back to the whole cluster.  With no affinity — and on any
-single-generation cluster — the machine pool is the full machine
-list in cluster order, so plans are bit-identical to the homogeneous
-code path (`repro.verify.compare_homogeneous_identity` pins this).
+single-generation cluster — the machine pool is every machine, so
+plans are bit-identical to the homogeneous code path
+(`repro.verify.compare_homogeneous_identity` pins this).
+
+Policies plan against the cluster's free-slot index
+(:meth:`Cluster.free_pool`), which buckets each pool's machine ids by
+free count, so a plan never scans every machine.
 
 :class:`ThroughputAwarePlacer` goes further (Gavel, arXiv 2008.12260):
 instead of treating a soft preference as a feasibility fallback, it
@@ -41,9 +45,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Allocation, Cluster
+from repro.cluster.cluster import Allocation, Cluster, FreePool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hetero.types import TypeScaling
@@ -135,10 +140,10 @@ class DescendingPlacer:
         if num_gpus < 1:
             raise ValueError("num_gpus must be >= 1")
         if gpu_type is not None:
-            plan = self._plan_on(cluster.machines_of_type(gpu_type), num_gpus)
+            plan = self._plan_on(cluster.free_pool(gpu_type), num_gpus)
             if plan is not None or not prefer:
                 return plan
-        return self._plan_on(cluster.machines, num_gpus)
+        return self._plan_on(cluster.free_pool(None), num_gpus)
 
     def plan_for_model(
         self,
@@ -175,39 +180,31 @@ class DescendingPlacer:
         return self.plan_for(cluster, num_gpus, gpu_type, prefer)
 
     def _plan_on(
-        self, machines: Sequence, num_gpus: int
+        self, pool: FreePool, num_gpus: int
     ) -> Optional[Dict[int, int]]:
         """Best-fit-then-span plan over one machine pool."""
-        if num_gpus > sum(m.free_gpu_count for m in machines):
+        if num_gpus > pool.free:
             return None
+        buckets = pool.buckets
 
-        # Best fit on one machine: tightest sufficient free capacity.
-        single_candidates = [
-            m for m in machines if m.free_gpu_count >= num_gpus
-        ]
-        if single_candidates:
-            best = min(
-                single_candidates,
-                key=lambda m: (m.free_gpu_count, m.machine_id),
-            )
-            return {best.machine_id: num_gpus}
+        # Best fit on one machine: tightest sufficient free capacity,
+        # lowest id among equals.
+        for free in range(num_gpus, len(buckets)):
+            if buckets[free]:
+                return {buckets[free][0]: num_gpus}
 
-        # Span machines: emptiest first minimizes machine count.
+        # Span machines: emptiest first (lowest id among equals)
+        # minimizes machine count.
         plan: Dict[int, int] = {}
         remaining = num_gpus
-        for machine in sorted(
-            machines,
-            key=lambda m: (-m.free_gpu_count, m.machine_id),
-        ):
-            if remaining == 0:
-                break
-            take = min(machine.free_gpu_count, remaining)
-            if take > 0:
-                plan[machine.machine_id] = take
+        for free in range(len(buckets) - 1, 0, -1):
+            for machine_id in buckets[free]:
+                take = min(free, remaining)
+                plan[machine_id] = take
                 remaining -= take
-        if remaining > 0:
-            return None
-        return plan
+                if remaining == 0:
+                    return plan
+        return None
 
 
 class SpreadPlacer(DescendingPlacer):
@@ -219,20 +216,17 @@ class SpreadPlacer(DescendingPlacer):
     """
 
     def _plan_on(
-        self, machines: Sequence, num_gpus: int
+        self, pool: FreePool, num_gpus: int
     ) -> Optional[Dict[int, int]]:
-        if num_gpus > sum(m.free_gpu_count for m in machines):
+        if num_gpus > pool.free:
             return None
-        candidates = [
-            m for m in machines if m.free_gpu_count >= num_gpus
-        ]
-        if candidates:
-            best = max(
-                candidates, key=lambda m: (m.free_gpu_count, -m.machine_id)
-            )
-            return {best.machine_id: num_gpus}
+        buckets = pool.buckets
+        # Emptiest machine, lowest id among equals.
+        for free in range(len(buckets) - 1, num_gpus - 1, -1):
+            if buckets[free]:
+                return {buckets[free][0]: num_gpus}
         # Fall back to the consolidating span plan.
-        return super()._plan_on(machines, num_gpus)
+        return super()._plan_on(pool, num_gpus)
 
 
 class RandomPlacer(DescendingPlacer):
@@ -245,17 +239,16 @@ class RandomPlacer(DescendingPlacer):
         self._rng = random.Random(seed)
 
     def _plan_on(
-        self, machines: Sequence, num_gpus: int
+        self, pool: FreePool, num_gpus: int
     ) -> Optional[Dict[int, int]]:
-        if num_gpus > sum(m.free_gpu_count for m in machines):
+        if num_gpus > pool.free:
             return None
-        candidates = [
-            m for m in machines if m.free_gpu_count >= num_gpus
-        ]
+        # Feasible machines in id order, so a seed draws the same
+        # machine as a scan of the pool would.
+        candidates = sorted(chain.from_iterable(pool.buckets[num_gpus:]))
         if candidates:
-            choice = self._rng.choice(candidates)
-            return {choice.machine_id: num_gpus}
-        return super()._plan_on(machines, num_gpus)
+            return {self._rng.choice(candidates): num_gpus}
+        return super()._plan_on(pool, num_gpus)
 
 
 class ThroughputAwarePlacer(DescendingPlacer):
@@ -316,12 +309,12 @@ class ThroughputAwarePlacer(DescendingPlacer):
             ),
         )
         for name in order:
-            plan = self._plan_on(cluster.machines_of_type(name), num_gpus)
+            plan = self._plan_on(cluster.free_pool(name), num_gpus)
             if plan is not None:
                 return plan
         # No single generation pool can host the demand: span the
         # whole cluster.
-        return self._plan_on(cluster.machines, num_gpus)
+        return self._plan_on(cluster.free_pool(None), num_gpus)
 
     def _pool_factors(
         self, cluster: Cluster, model: Optional[str]

@@ -193,8 +193,10 @@ def replay_trace(
                     injected += 1
         else:
             # Batch admission: release arrivals whose round boundary
-            # the clock has crossed; an idle simulator fast-forwards
-            # by releasing the next round immediately.
+            # the clock has crossed; an idle simulator (no queued
+            # event, nothing running: exactly when its next event time
+            # is None) fast-forwards by releasing the next round
+            # immediately.
             while arrivals and (
                 _round_boundary(arrivals[0][0], batch_step_seconds)
                 <= state.now + _EPS
@@ -205,7 +207,8 @@ def replay_trace(
             if (
                 arrivals
                 and injected == 0
-                and simulator.next_event_time(state) is None
+                and not state.events
+                and not state.running
             ):
                 release_until = _round_boundary(
                     arrivals[0][0], batch_step_seconds
@@ -226,7 +229,7 @@ def replay_trace(
                 unfinished=state.unfinished,
             )
 
-        if state.unfinished or simulator.next_event_time(state) is not None:
+        if state.unfinished or state.events or state.running:
             step_started = _time.monotonic()
             simulator.step(state)
             stats._step_samples.append(_time.monotonic() - step_started)

@@ -59,7 +59,16 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class _RunningGroup:
-    """Executor-side state of one placed group."""
+    """Executor-side state of one placed group.
+
+    The period, the per-resource busy times and the steady-state
+    utilization share are cached.  Their inputs change only when a
+    member leaves (:meth:`drop`): ``offsets``, ``speedup``,
+    ``allocation`` and ``group.coordinated`` are fixed at start, a
+    member's profile changes only on resize, which stops the whole
+    group first, and a running group belongs to one simulator, whose
+    contention model and penalty never change.
+    """
 
     group: JobGroup
     allocation: Allocation
@@ -75,22 +84,58 @@ class _RunningGroup:
     #: GPU slots held per generation name; None on untyped clusters,
     #: where per-generation occupancy is not tracked.
     slots_by_type: Optional[Dict[str, int]] = None
+    _period: Optional[float] = field(default=None, repr=False)
+    _busy: Optional[Tuple[float, ...]] = field(default=None, repr=False)
+    _share: Optional[Tuple[float, ...]] = field(default=None, repr=False)
+
+    def drop(self, job: Job) -> None:
+        """Remove a finished or faulted member; invalidates the caches."""
+        self.active.remove(job)
+        self.fault_deadlines.pop(job.job_id, None)
+        self._period = self._busy = self._share = None
 
     def period(self, contention: ContentionModel, uncoordinated_penalty: float) -> float:
         """Current true iteration period of the active members."""
-        profiles = tuple(job.profile for job in self.active)
-        offsets = tuple(self.offsets[job.job_id] for job in self.active)
-        base = group_iteration_time(profiles, offsets, self.group.num_resources)
-        factor = contention.factor(len(self.active), self.allocation.spans_machines)
-        if not self.group.coordinated and len(self.active) > 1:
-            factor *= uncoordinated_penalty
-        if self.speedup != 1.0:
-            factor /= self.speedup
-        return base * factor
+        period = self._period
+        if period is None:
+            profiles = tuple(job.profile for job in self.active)
+            offsets = tuple(self.offsets[job.job_id] for job in self.active)
+            base = group_iteration_time(profiles, offsets, self.group.num_resources)
+            factor = contention.factor(len(self.active), self.allocation.spans_machines)
+            if not self.group.coordinated and len(self.active) > 1:
+                factor *= uncoordinated_penalty
+            if self.speedup != 1.0:
+                factor /= self.speedup
+            period = self._period = base * factor
+        return period
 
-    def busy_time(self, resource: int) -> float:
-        """Seconds per period the active members keep ``resource`` busy."""
-        return sum(job.profile.durations[resource] for job in self.active)
+    def busy_times(self) -> Tuple[float, ...]:
+        """Seconds per period the active members keep each resource busy."""
+        busy = self._busy
+        if busy is None:
+            busy = self._busy = tuple(
+                sum(job.profile.durations[resource] for job in self.active)
+                for resource in range(NUM_RESOURCES)
+            )
+        return busy
+
+    def steady_share(
+        self,
+        contention: ContentionModel,
+        uncoordinated_penalty: float,
+        total_gpus: int,
+    ) -> Tuple[float, ...]:
+        """Per-resource utilization contribution once the restart
+        penalty is paid: the productive share is then exactly 1.0, and
+        multiplying the weight by it is exact, so it is left out."""
+        share = self._share
+        if share is None:
+            period = self.period(contention, uncoordinated_penalty)
+            weight = self.group.num_gpus / total_gpus
+            share = self._share = tuple(
+                busy / period * weight for busy in self.busy_times()
+            )
+        return share
 
     def time_to_next_event(
         self, contention: ContentionModel, uncoordinated_penalty: float
@@ -100,10 +145,11 @@ class _RunningGroup:
         horizon = min(
             job.remaining_iterations * period for job in self.active
         )
-        for job in self.active:
-            deadline = self.fault_deadlines.get(job.job_id)
-            if deadline is not None:
-                horizon = min(horizon, deadline)
+        if self.fault_deadlines:
+            for job in self.active:
+                deadline = self.fault_deadlines.get(job.job_id)
+                if deadline is not None:
+                    horizon = min(horizon, deadline)
         return self.penalty_remaining + horizon
 
 
@@ -475,9 +521,12 @@ class ClusterSimulator:
         Wall-clock drivers sleep until this time.
         """
         horizon = state.events.peek_time()
+        now = state.now
+        contention = self.contention
+        uncoordinated_penalty = self.uncoordinated_penalty
         for rgroup in state.running.values():
-            candidate = state.now + rgroup.time_to_next_event(
-                self.contention, self.uncoordinated_penalty
+            candidate = now + rgroup.time_to_next_event(
+                contention, uncoordinated_penalty
             )
             if horizon is None or candidate < horizon:
                 horizon = candidate
@@ -1019,8 +1068,7 @@ class ClusterSimulator:
                 finish_time = self._advance_clock + span
                 job.mark_finished(finish_time)
                 state.active -= 1
-                rgroup.active.remove(job)
-                rgroup.fault_deadlines.pop(job.job_id, None)
+                rgroup.drop(job)
                 changed = True
                 if tracing:
                     tracer.emit(
@@ -1065,8 +1113,7 @@ class ClusterSimulator:
                             "requeued with checkpointed progress",
                         )
                     job.mark_stopped()
-                    rgroup.active.remove(job)
-                    rgroup.fault_deadlines.pop(job.job_id, None)
+                    rgroup.drop(job)
                     pending[job.job_id] = job
                     changed = True
             if not rgroup.active:
@@ -1118,19 +1165,26 @@ class ClusterSimulator:
     ) -> None:
         self._advance_clock = now
         total_gpus = self.cluster.total_gpus
+        contention = self.contention
+        uncoordinated_penalty = self.uncoordinated_penalty
         utilization = [0.0] * NUM_RESOURCES
         running_jobs = 0
         for rgroup in running.values():
             running_jobs += len(rgroup.active)
-            period = rgroup.period(self.contention, self.uncoordinated_penalty)
-            productive_share = max(
-                0.0, (span - rgroup.penalty_remaining) / span
-            ) if span > 0 else 0.0
-            weight = rgroup.group.num_gpus / total_gpus * productive_share
-            for resource in range(NUM_RESOURCES):
-                utilization[resource] += (
-                    rgroup.busy_time(resource) / period * weight
+            if rgroup.penalty_remaining == 0.0 and span > 0:
+                share = rgroup.steady_share(
+                    contention, uncoordinated_penalty, total_gpus
                 )
+            else:
+                period = rgroup.period(contention, uncoordinated_penalty)
+                productive_share = max(
+                    0.0, (span - rgroup.penalty_remaining) / span
+                ) if span > 0 else 0.0
+                weight = rgroup.group.num_gpus / total_gpus * productive_share
+                share = [busy / period * weight for busy in rgroup.busy_times()]
+            utilization = [
+                used + added for used, added in zip(utilization, share)
+            ]
 
         blocking = 0.0
         if pending:
@@ -1179,6 +1233,7 @@ class ClusterSimulator:
                 slots_per_machine[slot.machine_id] = (
                     slots_per_machine.get(slot.machine_id, 0) + 1
                 )
+            busy = rgroup.busy_times()
             for machine_id, slots in slots_per_machine.items():
                 weight = (
                     slots
@@ -1187,7 +1242,7 @@ class ClusterSimulator:
                 )
                 for resource in range(NUM_RESOURCES):
                     machine_util[machine_id][resource] += (
-                        rgroup.busy_time(resource) / period * weight
+                        busy[resource] / period * weight
                     )
             for job in rgroup.active:
                 self.monitor.report_progress(

@@ -50,8 +50,8 @@ INVARIANT_CATALOG: Dict[str, str] = {
     "gpu_capacity": (
         "GPU capacity is never exceeded: the GPUs of all concurrently "
         "started groups never sum past the cluster total, and the "
-        "cluster's own per-machine free/allocated accounting stays "
-        "consistent."
+        "cluster's own per-machine free/allocated accounting, and the "
+        "free-slot index placement reads, stay consistent."
     ),
     "plan_capacity": (
         "Scheduler contract: a proposed plan's total GPU demand is at "
@@ -742,6 +742,33 @@ class InvariantChecker(Tracer):
                         "free": free,
                         "allocated": used,
                         "num_gpus": machine.num_gpus,
+                    },
+                )
+        for key in (None, *cluster.gpu_type_names()):
+            pool = cluster.free_pool(key)
+            scanned: Dict[int, List[int]] = {}
+            for machine in cluster.machines_of_type(key):
+                scanned.setdefault(machine.free_gpu_count, []).append(
+                    machine.machine_id
+                )
+            indexed = {
+                free: list(ids) for free, ids in enumerate(pool.buckets) if ids
+            }
+            scanned_free = sum(
+                free * len(ids) for free, ids in scanned.items()
+            )
+            if pool.free != scanned_free or indexed != scanned:
+                self._fail(
+                    "gpu_capacity",
+                    f"free-slot index of pool {key!r} is stale: it holds "
+                    f"{pool.free} free GPUs, the machines {scanned_free}",
+                    sim_time,
+                    {
+                        "pool": key,
+                        "indexed_free": pool.free,
+                        "scanned_free": scanned_free,
+                        "indexed_buckets": indexed,
+                        "scanned_buckets": scanned,
                     },
                 )
 

@@ -9,9 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.core.ordering import group_iteration_time
+from repro.elastic import attach_scalability
+from repro.hetero.types import DEFAULT_TYPE_SCALING, get_gpu_type
 from repro.jobs.job import JobSpec
+from repro.jobs.resources import NUM_RESOURCES
 from repro.models.zoo import DEFAULT_MODELS, get_model
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
+from repro.sim.faults import FaultInjector
 from repro.sim.simulator import ClusterSimulator
 
 SCHEDULER_NAMES = sorted(SCHEDULERS)
@@ -107,3 +112,114 @@ def test_makespan_bounded_below_by_work(specs):
             for spec in specs
         )
         assert result.makespan >= work / cluster.total_gpus - 1e-6
+
+
+def _fresh_period(simulator, rgroup):
+    """A running group's period, computed from its current members."""
+    profiles = tuple(job.profile for job in rgroup.active)
+    offsets = tuple(rgroup.offsets[job.job_id] for job in rgroup.active)
+    base = group_iteration_time(profiles, offsets, rgroup.group.num_resources)
+    factor = simulator.contention.factor(
+        len(rgroup.active), rgroup.allocation.spans_machines
+    )
+    if not rgroup.group.coordinated and len(rgroup.active) > 1:
+        factor *= simulator.uncoordinated_penalty
+    if rgroup.speedup != 1.0:
+        factor /= rgroup.speedup
+    return base * factor
+
+
+def _assert_caches_fresh(simulator, state):
+    total_gpus = simulator.cluster.total_gpus
+    for rgroup in state.running.values():
+        period = _fresh_period(simulator, rgroup)
+        busy = tuple(
+            sum(job.profile.durations[resource] for job in rgroup.active)
+            for resource in range(NUM_RESOURCES)
+        )
+        weight = rgroup.group.num_gpus / total_gpus
+        # Reading fills each cache, so a later membership change that
+        # failed to invalidate it shows up as a stale value.
+        assert rgroup.period(
+            simulator.contention, simulator.uncoordinated_penalty
+        ) == period
+        assert rgroup.busy_times() == busy
+        assert rgroup.steady_share(
+            simulator.contention, simulator.uncoordinated_penalty, total_gpus
+        ) == tuple(value / period * weight for value in busy)
+
+
+@st.composite
+def contended_workloads(draw):
+    """Jobs arriving close together, so interleaved groups form and
+    lose members while their partners keep running."""
+    specs = []
+    for _ in range(draw(st.integers(min_value=4, max_value=14))):
+        model = get_model(draw(st.sampled_from(DEFAULT_MODELS)))
+        gpus = draw(st.sampled_from([1, 1, 2, 4]))
+        specs.append(
+            JobSpec(
+                profile=model.stage_profile(gpus),
+                num_gpus=gpus,
+                submit_time=draw(st.floats(min_value=0.0, max_value=300.0)),
+                num_iterations=draw(st.integers(min_value=1, max_value=600)),
+                model=model.name,
+            )
+        )
+    return specs
+
+
+@pytest.mark.parametrize("condition", ["faults", "typed", "resize"])
+@pytest.mark.parametrize("scheduler_name", ["fifo", "muri-s", "antman"])
+@settings(max_examples=12, deadline=None)
+@given(
+    specs=contended_workloads(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    resize_step=st.integers(min_value=1, max_value=40),
+)
+def test_running_group_caches_match_fresh_computation(
+    scheduler_name, condition, specs, seed, resize_step
+):
+    """After every step each running group's cached period, busy
+    vector and steady utilization share equal (exactly) a computation
+    from its current members, across faults with progress loss,
+    landing-speed scaling on a typed cluster, and mid-run resizes."""
+    kwargs = {}
+    cluster = Cluster(2, 4)
+    if condition == "faults":
+        kwargs["fault_injector"] = FaultInjector(
+            mean_time_between_faults=300.0, seed=seed, progress_loss=0.5
+        )
+    elif condition == "typed":
+        cluster = Cluster(2, 4, machine_types=[
+            get_gpu_type("k80"), get_gpu_type("a100")
+        ])
+        kwargs["landing_speed_scaling"] = DEFAULT_TYPE_SCALING
+    else:
+        specs = attach_scalability(specs, fraction=1.0, seed=seed, max_gpus=8)
+    simulator = ClusterSimulator(
+        make_scheduler(scheduler_name),
+        cluster=cluster,
+        scheduling_interval=120.0,
+        restart_penalty=5.0,
+        **kwargs,
+    )
+    state = simulator.begin(specs, "cache")
+    resized = False
+    while state.unfinished:
+        simulator.step(state)
+        _assert_caches_fresh(simulator, state)
+        if condition == "resize" and not resized and state.steps >= resize_step:
+            for rgroup in list(state.running.values()):
+                job = rgroup.active[0]
+                counts = [
+                    count for count in job.spec.scalability.gpu_counts
+                    if count != job.num_gpus
+                ]
+                if counts:
+                    resized = simulator.resize(
+                        state, job.job_id, counts[seed % len(counts)]
+                    )
+                    break
+    result = simulator.finalize(state)
+    assert set(result.jcts) == {spec.job_id for spec in specs}

@@ -157,6 +157,16 @@ class TestCommittedBaselines:
         step = doc["benchmarks"]["renegotiate_step"]
         assert step["p99_seconds"] < 0.010
 
+    def test_replay_baseline(self):
+        doc = committed("replay")
+        gated = gated_metrics(doc)
+        # FIFO and the paper's scheduler both replay the whole trace.
+        for name in ("replay_run", "replay_run_muri"):
+            assert f"{name}.job_normalized" in gated
+            assert f"{name}.p99_step_normalized" in gated
+            entry = doc["benchmarks"][name]
+            assert entry["finished"] == entry["jobs"]
+
     def test_hetero_baseline(self):
         doc = committed("hetero")
         gated = gated_metrics(doc)

@@ -6,6 +6,7 @@ from repro.cluster.cluster import Cluster
 from repro.core.group import JobGroup
 from repro.core.ordering import best_ordering
 from repro.core.priorities import fifo_priority
+from repro.hetero.types import get_gpu_type
 from repro.jobs.job import Job, JobSpec
 from repro.jobs.stage import StageProfile
 from repro.observe.events import EventCategory
@@ -332,7 +333,25 @@ class TestInspectChecks:
         checker = InvariantChecker(invariants=["gpu_capacity"])
         cluster = Cluster(2, 4)
         checker.inspect("sim.cluster", 0.0, cluster=cluster)
+        # Allocating behind the cluster's back leaves its free-slot
+        # index stale.
         cluster.machines[0].allocate(2, owner=0)
+        with pytest.raises(InvariantViolation) as exc:
+            checker.inspect("sim.cluster", 0.0, cluster=cluster)
+        assert exc.value.invariant == "gpu_capacity"
+        assert exc.value.details["pool"] is None
+        assert exc.value.details["indexed_free"] == 8
+        assert exc.value.details["scanned_free"] == 6
+
+    @pytest.mark.parametrize("machine_types", [None, ["k80", "a100", "k80"]])
+    def test_cluster_accounting_through_allocate(self, machine_types):
+        types = machine_types and [get_gpu_type(name) for name in machine_types]
+        checker = InvariantChecker(invariants=["gpu_capacity"])
+        cluster = Cluster(3, 4, machine_types=types)
+        checker.inspect("sim.cluster", 0.0, cluster=cluster)
+        cluster.allocate(0, {0: 2, 2: 4})
+        checker.inspect("sim.cluster", 0.0, cluster=cluster)
+        cluster.release(0)
         checker.inspect("sim.cluster", 0.0, cluster=cluster)
 
     def test_unknown_inspect_point_ignored(self):
