@@ -56,6 +56,7 @@ scaling" in ``docs/simulation_model.md``):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -138,16 +139,20 @@ class GroupingResult:
 
     Attributes:
         groups: The chosen interleaving groups.
-        total_efficiency: Sum of the believed efficiencies of all
-            multi-job groups (the matching objective).
         rounds: Number of matching rounds executed.
         total_gpu_demand: GPUs needed to run every group concurrently.
     """
 
     groups: Tuple[JobGroup, ...]
-    total_efficiency: float
     rounds: int
     total_gpu_demand: int = 0
+
+    @property
+    def total_efficiency(self) -> float:
+        """Sum of the believed efficiencies of all multi-job groups (the
+        matching objective).  Computed when read: the schedulers never
+        read it, so the grouping pass does not pay for Eq. 3/4 here."""
+        return sum(g.believed_efficiency for g in self.groups if g.size > 1)
 
 
 class MultiRoundGrouper:
@@ -276,6 +281,19 @@ class MultiRoundGrouper:
         # between scheduling intervals skips matching entirely.
         self._decision_cache: Dict[Tuple, List[_MatchedPair]] = {}
         self._decision_cache_prev: Dict[Tuple, List[_MatchedPair]] = {}
+        # Groups of the last group() call by member ids (a bare id for
+        # a solo): a node whose jobs and believed profiles are the same
+        # objects, in the same order, gets its old JobGroup back
+        # instead of a rebuilt equal one.  Rebuilt on every call (the
+        # previous map lives only while a call runs), so it holds one
+        # call's groups.
+        self._formed_groups: Dict[object, JobGroup] = {}
+        self._formed_groups_prev: Dict[object, JobGroup] = {}
+        # Believed efficiency of the multi-job groups provenance
+        # reports, keyed by member durations and offsets: Eq. 3/4 is
+        # pure in them, and warm regroups re-form the same groups.
+        # Filled only while tracing.
+        self._efficiency_cache: Dict[Tuple, float] = {}
         self.workers = workers
         self._pool: Optional[BucketPool] = None
         self.tracer = tracer
@@ -351,6 +369,7 @@ class MultiRoundGrouper:
                 jobs, believed_profiles, capacity, preformed, tracing
             )
         self._prov_candidates = None
+        self._formed_groups_prev = {}
         return result
 
     def reset_caches(self) -> None:
@@ -365,6 +384,9 @@ class MultiRoundGrouper:
         self._ordering_cache.clear()
         self._decision_cache = {}
         self._decision_cache_prev = {}
+        self._formed_groups = {}
+        self._formed_groups_prev = {}
+        self._efficiency_cache.clear()
 
     def invalidate_gpu_buckets(self, gpu_counts) -> int:
         """Drop memoized matchings for the given GPU-count buckets.
@@ -415,6 +437,8 @@ class MultiRoundGrouper:
         buckets, bucket_order = self._build_nodes(jobs, believed_profiles, preformed)
         self._decision_cache_prev = self._decision_cache
         self._decision_cache = {}
+        self._formed_groups_prev = self._formed_groups
+        self._formed_groups = {}
 
         if self.matcher == "exact":
             groups: List[JobGroup] = []
@@ -1075,9 +1099,19 @@ class MultiRoundGrouper:
     def _decision_for(self, node: _Node, group: JobGroup) -> GroupDecision:
         """The provenance record of one final node/group pair."""
         members = tuple(job.job_id for job in node.jobs)
+        efficiency = 1.0
+        if node.size > 1:
+            key = (
+                tuple(profile.durations for profile in group.believed_profiles),
+                group.offsets,
+            )
+            efficiency = self._efficiency_cache.get(key)
+            if efficiency is None:
+                efficiency = group.believed_efficiency
+                self._efficiency_cache[key] = efficiency
         return GroupDecision(
             members=members,
-            efficiency=group.believed_efficiency if node.size > 1 else 1.0,
+            efficiency=efficiency,
             round_formed=node.round_formed,
             seeded=node.seeded,
             candidates={
@@ -1096,9 +1130,8 @@ class MultiRoundGrouper:
         )
 
     def _result(self, groups: List[JobGroup], rounds: int) -> GroupingResult:
-        total_eff = sum(g.believed_efficiency for g in groups if g.size > 1)
         demand = sum(g.num_gpus for g in groups)
-        return GroupingResult(tuple(groups), total_eff, rounds, demand)
+        return GroupingResult(tuple(groups), rounds, demand)
 
     def _merge_weight(self, a: _Node, b: _Node) -> float:
         # Edge weights always measure the *achievable* efficiency, so
@@ -1128,6 +1161,28 @@ class MultiRoundGrouper:
         return weight
 
     def _finalize(self, node: _Node) -> JobGroup:
+        jobs = node.jobs
+        if len(jobs) == 1:
+            members = jobs[0].job_id
+        else:
+            members = tuple(job.job_id for job in jobs)
+        group = self._formed_groups_prev.get(members)
+        if (
+            group is not None
+            and all(map(operator.is_, group.jobs, jobs))
+            and all(map(operator.is_, group.believed_profiles, node.profiles))
+        ):
+            # The ordering cache still holds this node's key (only
+            # reset_caches clears it, and it clears this map too), so
+            # the offsets would come out the same.
+            if self._tracing:
+                self.tracer.count("grouping.ordering_cache.hit")
+        else:
+            group = self._finalize_new(node)
+        self._formed_groups[members] = group
+        return group
+
+    def _finalize_new(self, node: _Node) -> JobGroup:
         profiles = tuple(node.profiles)
         key = tuple(node.keys)
         offsets = self._ordering_cache.get(key)

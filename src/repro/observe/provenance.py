@@ -158,17 +158,22 @@ class ProvenanceStore:
 
     def record_grouping(self, job_id: int, record: GroupingRecord) -> None:
         """File one grouping record under ``job_id`` (capped)."""
-        provenance = self._jobs.setdefault(job_id, JobProvenance(job_id))
-        groupings = provenance.groupings
+        groupings = self._job(job_id).groupings
         groupings.append(record)
         if len(groupings) > self.max_groupings_per_job:
             del groupings[1]
 
     def record_outcome(self, job_id: int, record: OutcomeRecord) -> None:
         """File one outcome record under ``job_id``."""
-        self._jobs.setdefault(job_id, JobProvenance(job_id)).outcomes.append(
-            record
-        )
+        self._job(job_id).outcomes.append(record)
+
+    def _job(self, job_id: int) -> JobProvenance:
+        """The job's record, created on first use (``setdefault`` would
+        build a throwaway ``JobProvenance`` on every call)."""
+        provenance = self._jobs.get(job_id)
+        if provenance is None:
+            provenance = self._jobs[job_id] = JobProvenance(job_id)
+        return provenance
 
     # -- queries ----------------------------------------------------------
 

@@ -178,6 +178,15 @@ class SimulationState:
         tick_scheduled: A TICK event has been queued at least once.
         started_wall: ``time.monotonic()`` at :meth:`begin`.
         finalized: :meth:`finalize` has run.
+        live: The jobs not yet in a terminal state (finished or
+            cancelled), by id, in ``jobs`` order.  Reschedules read the
+            active set from it instead of scanning every job the
+            simulation has ever seen.
+        group_horizon: Seconds from ``now`` to the earliest completion
+            or fault of any running group, or None when unknown (or
+            nothing runs).  Set by the advance walk and by
+            :meth:`ClusterSimulator.next_event_time`; reset to None
+            wherever ``running`` changes outside the advance walk.
     """
 
     jobs: Dict[int, Job]
@@ -194,17 +203,18 @@ class SimulationState:
     tick_scheduled: bool = False
     started_wall: float = 0.0
     finalized: bool = False
-    active: int = 0
+    live: Dict[int, Job] = field(default_factory=dict)
+    group_horizon: Optional[float] = None
 
     @property
     def unfinished(self) -> int:
         """Jobs not yet in a terminal state (finished or cancelled).
 
-        Maintained incrementally (``active``) so the run loops and the
-        service's ``is_done`` poll stay O(1) per step — a recount over
-        ``jobs`` would make long online streams quadratic.
+        Read from ``live`` so the run loops and the service's
+        ``is_done`` poll stay O(1) per step — a recount over ``jobs``
+        would make long online streams quadratic.
         """
-        return self.active
+        return len(self.live)
 
 
 class ClusterSimulator:
@@ -386,7 +396,7 @@ class ClusterSimulator:
             trace_name=trace_name,
             step_budget=self.max_steps or (500 * len(specs) + 100_000),
             started_wall=started_wall,
-            active=len(jobs),
+            live=dict(jobs),
         )
         if specs:
             first_arrival = min(spec.submit_time for spec in specs)
@@ -417,7 +427,7 @@ class ClusterSimulator:
             raise SimulationError(f"job id {spec.job_id} already submitted")
         job = Job(spec)
         state.jobs[spec.job_id] = job
-        state.active += 1
+        state.live[spec.job_id] = job
         state.result.submit_times[spec.job_id] = spec.submit_time
         arrival = max(state.now, spec.submit_time)
         state.events.push(Event(arrival, EventKind.ARRIVAL, spec.job_id))
@@ -445,6 +455,7 @@ class ClusterSimulator:
         for key, rgroup in list(state.running.items()):
             if any(member.job_id == job_id for member in rgroup.active):
                 del state.running[key]
+                state.group_horizon = None
                 self._trace_preempt(state.now, rgroup)
                 self._stop_group(rgroup, state.pending)
                 state.need_reschedule = True
@@ -452,7 +463,7 @@ class ClusterSimulator:
                 break
         state.pending.pop(job_id, None)
         job.status = JobStatus.FAILED
-        state.active -= 1
+        del state.live[job_id]
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(
@@ -509,6 +520,7 @@ class ClusterSimulator:
             state.now, job, num_gpus, state.pending, state.running
         )
         if changed:
+            state.group_horizon = None
             state.need_reschedule = True
             state.reschedule_reason = "resize"
         return changed
@@ -519,15 +531,24 @@ class ClusterSimulator:
         The same horizon :meth:`step` would advance to: the next queued
         external event or the next running-group completion/fault.
         Wall-clock drivers sleep until this time.
+
+        The running groups are walked only when ``state.group_horizon``
+        is unknown; the advance walk leaves it set.  Float addition is
+        monotone, so ``now + min(t)`` equals ``min(now + t)`` exactly.
         """
         horizon = state.events.peek_time()
-        now = state.now
-        contention = self.contention
-        uncoordinated_penalty = self.uncoordinated_penalty
-        for rgroup in state.running.values():
-            candidate = now + rgroup.time_to_next_event(
-                contention, uncoordinated_penalty
-            )
+        if state.running:
+            group_horizon = state.group_horizon
+            if group_horizon is None:
+                contention = self.contention
+                uncoordinated_penalty = self.uncoordinated_penalty
+                group_horizon = state.group_horizon = min(
+                    rgroup.time_to_next_event(
+                        contention, uncoordinated_penalty
+                    )
+                    for rgroup in state.running.values()
+                )
+            candidate = state.now + group_horizon
             if horizon is None or candidate < horizon:
                 horizon = candidate
         return horizon
@@ -545,8 +566,8 @@ class ClusterSimulator:
         """
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-        jobs, pending, running = state.jobs, state.pending, state.running
-        events, result, now = state.events, state.result, state.now
+        jobs, pending = state.jobs, state.pending
+        events, now = state.events, state.now
 
         state.steps += 1
         if state.steps > state.step_budget:
@@ -580,7 +601,8 @@ class ClusterSimulator:
         # 2. Invoke the scheduler.
         if tick_due or state.need_reschedule:
             reason = "tick" if tick_due else state.reschedule_reason
-            self._reschedule(now, jobs, pending, running, result, reason)
+            self._reschedule(now, state, reason)
+            state.group_horizon = None
             state.need_reschedule = False
             state.reschedule_reason = "completion"
             if tick_due:
@@ -600,10 +622,7 @@ class ClusterSimulator:
         # 4. Advance every running group and record the span.
         span = horizon - now
         if span > 0:
-            self._record_timepoint(now, span, pending, running, result)
-            completed_any = self._advance(
-                span, jobs, pending, running, result, state
-            )
+            completed_any = self._advance(now, span, state)
             if completed_any and self.backfill_on_completion:
                 state.need_reschedule = True
                 state.reschedule_reason = "completion"
@@ -660,33 +679,23 @@ class ClusterSimulator:
     # -- scheduling ---------------------------------------------------------------
 
     def _reschedule(
-        self,
-        now: float,
-        jobs: Dict[int, Job],
-        pending: Dict[int, Job],
-        running: Dict[FrozenSet[int], _RunningGroup],
-        result: SimulationResult,
-        reason: str = "tick",
+        self, now: float, state: SimulationState, reason: str = "tick"
     ) -> None:
         with maybe_span(self.tracer, "sim.reschedule", now, reason=reason):
-            self._reschedule_inner(
-                now, jobs, pending, running, result, reason
-            )
+            self._reschedule_inner(now, state, reason)
 
     def _reschedule_inner(
-        self,
-        now: float,
-        jobs: Dict[int, Job],
-        pending: Dict[int, Job],
-        running: Dict[FrozenSet[int], _RunningGroup],
-        result: SimulationResult,
-        reason: str,
+        self, now: float, state: SimulationState, reason: str
     ) -> None:
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-        active_jobs = [job for job in jobs.values() if not job.is_finished and (
-            job.job_id in pending or self._is_running(job, running)
-        )]
+        live, pending, running = state.live, state.pending, state.running
+        result = state.result
+        # ``live`` keeps ``jobs`` order, which reaches the scheduler.
+        active_jobs = [
+            job for job in live.values()
+            if job.job_id in pending or job.status is JobStatus.RUNNING
+        ]
 
         # Elastic schedulers renegotiate GPU counts at each scheduling
         # tick, before grouping; the simulator owns applying the
@@ -699,8 +708,8 @@ class ClusterSimulator:
                     now, active_jobs, self.cluster.total_gpus
                 )
                 for job_id in sorted(targets):
-                    job = jobs.get(job_id)
-                    if job is None or job.is_finished:
+                    job = live.get(job_id)
+                    if job is None:
                         continue
                     self._apply_resize(
                         now, job, targets[job_id], pending, running
@@ -711,22 +720,21 @@ class ClusterSimulator:
             now, active_jobs, running_groups, self.cluster.total_gpus, reason
         )
 
-        proposed_keys = []
+        # Each accepted group travels with its key, computed once.
         seen_jobs = set()
-        valid: List[JobGroup] = []
+        valid: List[Tuple[FrozenSet[int], JobGroup]] = []
         for group in proposal:
-            key = group_key(group)
             if any(job.job_id in seen_jobs or job.is_finished for job in group.jobs):
                 continue
-            seen_jobs.update(job.job_id for job in group.jobs)
-            proposed_keys.append(key)
-            valid.append(group)
-        keyset = set(proposed_keys)
+            key = group_key(group)
+            seen_jobs.update(key)
+            valid.append((key, group))
+        keyset = {key for key, _group in valid}
         if tracing:
             tracer.inspect(
                 "sim.plan",
                 now,
-                groups=valid,
+                groups=[group for _key, group in valid],
                 total_gpus=self.cluster.total_gpus,
             )
 
@@ -738,8 +746,7 @@ class ClusterSimulator:
         # comparison must be against the allocation's slot count —
         # ``JobGroup.num_gpus`` reads the live jobs, so both sides of a
         # naive group-vs-group check would show the post-resize value.
-        for group in valid:
-            key = group_key(group)
+        for key, group in valid:
             rgroup = running.get(key)
             if rgroup is not None and group.num_gpus != len(rgroup.allocation.slots):
                 del running[key]
@@ -755,13 +762,13 @@ class ClusterSimulator:
             stopped += 1
 
         # Start new groups, priority order, best-effort placement.
-        new_groups = [g for g in valid if group_key(g) not in running]
+        new_groups = [(key, g) for key, g in valid if key not in running]
         started = 0
         unplaced_groups: List[JobGroup] = []
         with maybe_span(
             self.tracer, "sim.place", now, groups=len(new_groups)
         ):
-            for group in new_groups:
+            for key, group in new_groups:
                 # Affinity-homogeneous groups (the grouper's
                 # _affinity_compatible guarantee) let the first member
                 # speak for the group; unaffine groups take the exact
@@ -786,7 +793,6 @@ class ClusterSimulator:
                     continue
                 started += 1
                 speedup = self._landing_speedup(lead_spec, plan)
-                key = group_key(group)
                 allocation = self.cluster.allocate(self._owner_id(key), plan)
                 slots_by_type: Optional[Dict[str, int]] = None
                 if self._track_gpu_types:
@@ -983,10 +989,6 @@ class ClusterSimulator:
         self._owner_counter = getattr(self, "_owner_counter", 0) + 1
         return self._owner_counter
 
-    @staticmethod
-    def _is_running(job: Job, running: Dict[FrozenSet[int], _RunningGroup]) -> bool:
-        return job.status == JobStatus.RUNNING
-
     # -- execution -----------------------------------------------------------------
 
     def _landing_speedup(self, lead_spec: JobSpec, plan: Dict[int, int]) -> float:
@@ -1021,22 +1023,57 @@ class ClusterSimulator:
                 speed = factor
         return 1.0 if speed is None else speed
 
-    def _advance(
-        self,
-        span: float,
-        jobs: Dict[int, Job],
-        pending: Dict[int, Job],
-        running: Dict[FrozenSet[int], _RunningGroup],
-        result: SimulationResult,
-        state: SimulationState,
-    ) -> bool:
-        """Advance all groups by ``span`` seconds; returns True when a
-        job completed or faulted (capacity freed)."""
+    def _advance(self, now: float, span: float, state: SimulationState) -> bool:
+        """Record the span's timepoint and advance all groups by ``span``
+        seconds; returns True when a job completed or faulted (capacity
+        freed).
+
+        One walk over the running groups: each adds its utilization
+        share (from its state at ``now``), advances, and — when it
+        survives — offers its time to next event for
+        ``state.group_horizon``.  The blocking index and the monitor
+        read the pre-advance state, before any fault requeues.
+        """
+        self._advance_clock = now
+        pending, running, result = state.pending, state.running, state.result
+        queue_length = len(pending)
+        blocking = 0.0
+        if pending:
+            ratios = []
+            for job in pending.values():
+                remaining = job.remaining_service_time
+                if remaining > 0:
+                    ratios.append(job.pending_time(now) / remaining)
+            blocking = sum(ratios) / len(ratios) if ratios else 0.0
+        if self.monitor is not None:
+            self._feed_monitor(now, span, running)
+
+        total_gpus = self.cluster.total_gpus
+        contention = self.contention
+        uncoordinated_penalty = self.uncoordinated_penalty
+        utilization = [0.0] * NUM_RESOURCES
+        running_jobs = 0
+        group_horizon: Optional[float] = None
         changed = False
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-        for key in list(running):
-            rgroup = running[key]
+        for key, rgroup in list(running.items()):
+            running_jobs += len(rgroup.active)
+            if rgroup.penalty_remaining == 0.0:
+                share = rgroup.steady_share(
+                    contention, uncoordinated_penalty, total_gpus
+                )
+            else:
+                period = rgroup.period(contention, uncoordinated_penalty)
+                productive_share = max(
+                    0.0, (span - rgroup.penalty_remaining) / span
+                )
+                weight = rgroup.group.num_gpus / total_gpus * productive_share
+                share = [busy / period * weight for busy in rgroup.busy_times()]
+            utilization = [
+                used + added for used, added in zip(utilization, share)
+            ]
+
             if rgroup.slots_by_type:
                 by_type = result.gpu_seconds_by_type
                 for name, count in rgroup.slots_by_type.items():
@@ -1044,86 +1081,122 @@ class ClusterSimulator:
             paid = min(rgroup.penalty_remaining, span)
             rgroup.penalty_remaining -= paid
             productive = span - paid
-            if productive <= 0:
-                continue
-            period = rgroup.period(self.contention, self.uncoordinated_penalty)
-            delta_iters = productive / period
-
-            completed: List[Job] = []
-            faulted: List[Job] = []
-            for job in rgroup.active:
-                job.advance(min(delta_iters, job.remaining_iterations), productive)
-                deadline = rgroup.fault_deadlines.get(job.job_id)
-                if deadline is not None:
-                    deadline -= productive
-                    rgroup.fault_deadlines[job.job_id] = deadline
-                if job.remaining_iterations <= _ITER_EPS:
-                    completed.append(job)
-                elif deadline is not None and deadline <= _EPS:
-                    faulted.append(job)
-
-            for job in completed:
-                # The horizon was chosen as the earliest group event, so
-                # a completing member finishes exactly at span end.
-                finish_time = self._advance_clock + span
-                job.mark_finished(finish_time)
-                state.active -= 1
-                rgroup.drop(job)
+            if productive > 0 and self._advance_group(
+                key, rgroup, productive, span, state, tracing
+            ):
                 changed = True
+            if rgroup.active:
+                horizon = rgroup.time_to_next_event(
+                    contention, uncoordinated_penalty
+                )
+                if group_horizon is None or horizon < group_horizon:
+                    group_horizon = horizon
+        state.group_horizon = group_horizon
+
+        result.timeseries.append(
+            TimePoint(
+                time=now,
+                span=span,
+                queue_length=queue_length,
+                running_jobs=running_jobs,
+                blocking_index=blocking,
+                utilization=tuple(min(1.0, u) for u in utilization),
+            )
+        )
+        return changed
+
+    def _advance_group(
+        self,
+        key: FrozenSet[int],
+        rgroup: _RunningGroup,
+        productive: float,
+        span: float,
+        state: SimulationState,
+        tracing: bool,
+    ) -> bool:
+        """Run one group for ``productive`` seconds of a ``span``-second
+        step; returns True when a member completed or faulted."""
+        tracer = self.tracer
+        pending, running = state.pending, state.running
+        changed = False
+        period = rgroup.period(self.contention, self.uncoordinated_penalty)
+        delta_iters = productive / period
+
+        completed: List[Job] = []
+        faulted: List[Job] = []
+        for job in rgroup.active:
+            job.advance(min(delta_iters, job.remaining_iterations), productive)
+            deadline = rgroup.fault_deadlines.get(job.job_id)
+            if deadline is not None:
+                deadline -= productive
+                rgroup.fault_deadlines[job.job_id] = deadline
+            if job.remaining_iterations <= _ITER_EPS:
+                completed.append(job)
+            elif deadline is not None and deadline <= _EPS:
+                faulted.append(job)
+
+        for job in completed:
+            # The horizon was chosen as the earliest group event, so
+            # a completing member finishes exactly at span end.
+            finish_time = self._advance_clock + span
+            job.mark_finished(finish_time)
+            del state.live[job.job_id]
+            rgroup.drop(job)
+            changed = True
+            if tracing:
+                tracer.emit(
+                    EventCategory.JOB,
+                    "job.finish",
+                    finish_time,
+                    job=job.job_id,
+                    jct=job.completion_time(),
+                )
+                self._trace_outcome(
+                    job.job_id, finish_time, "finished",
+                    f"JCT {job.completion_time():.1f}s",
+                )
+        for job in faulted:
+            if job in rgroup.active:
+                fault_time = self._advance_clock + span
+                if self.monitor is not None:
+                    self.monitor.report_fault(
+                        self._advance_clock + span, job.job_id
+                    )
+                loss = self.fault_injector.progress_loss
+                remaining_before = job.remaining_iterations
+                if loss > 0:
+                    executed = job.spec.num_iterations - job.remaining_iterations
+                    job.remaining_iterations = min(
+                        float(job.spec.num_iterations),
+                        job.remaining_iterations + executed * loss,
+                    )
                 if tracing:
                     tracer.emit(
                         EventCategory.JOB,
-                        "job.finish",
-                        finish_time,
+                        "job.fault",
+                        fault_time,
                         job=job.job_id,
-                        jct=job.completion_time(),
+                        remaining_before=remaining_before,
+                        remaining_after=job.remaining_iterations,
+                        total_iterations=job.spec.num_iterations,
+                        progress_loss=loss,
                     )
                     self._trace_outcome(
-                        job.job_id, finish_time, "finished",
-                        f"JCT {job.completion_time():.1f}s",
+                        job.job_id, fault_time, "faulted",
+                        "requeued with checkpointed progress",
                     )
-            for job in faulted:
-                if job in rgroup.active:
-                    fault_time = self._advance_clock + span
-                    if self.monitor is not None:
-                        self.monitor.report_fault(
-                            self._advance_clock + span, job.job_id
-                        )
-                    loss = self.fault_injector.progress_loss
-                    remaining_before = job.remaining_iterations
-                    if loss > 0:
-                        executed = job.spec.num_iterations - job.remaining_iterations
-                        job.remaining_iterations = min(
-                            float(job.spec.num_iterations),
-                            job.remaining_iterations + executed * loss,
-                        )
-                    if tracing:
-                        tracer.emit(
-                            EventCategory.JOB,
-                            "job.fault",
-                            fault_time,
-                            job=job.job_id,
-                            remaining_before=remaining_before,
-                            remaining_after=job.remaining_iterations,
-                            total_iterations=job.spec.num_iterations,
-                            progress_loss=loss,
-                        )
-                        self._trace_outcome(
-                            job.job_id, fault_time, "faulted",
-                            "requeued with checkpointed progress",
-                        )
-                    job.mark_stopped()
-                    rgroup.drop(job)
-                    pending[job.job_id] = job
-                    changed = True
-            if not rgroup.active:
-                self.cluster.release(rgroup.allocation.owner)
-                del running[key]
-            elif completed or faulted:
-                # Membership changed: re-key the group to its surviving
-                # members so the scheduler can keep it running instead
-                # of seeing an unknown (stale) group and preempting it.
-                self._rekey_group(key, rgroup, running)
+                job.mark_stopped()
+                rgroup.drop(job)
+                pending[job.job_id] = job
+                changed = True
+        if not rgroup.active:
+            self.cluster.release(rgroup.allocation.owner)
+            del running[key]
+        elif completed or faulted:
+            # Membership changed: re-key the group to its surviving
+            # members so the scheduler can keep it running instead
+            # of seeing an unknown (stale) group and preempting it.
+            self._rekey_group(key, rgroup, running)
         return changed
 
     @staticmethod
@@ -1154,60 +1227,6 @@ class ClusterSimulator:
 
     #: Set before each advance so finish times are exact.
     _advance_clock: float = 0.0
-
-    def _record_timepoint(
-        self,
-        now: float,
-        span: float,
-        pending: Dict[int, Job],
-        running: Dict[FrozenSet[int], _RunningGroup],
-        result: SimulationResult,
-    ) -> None:
-        self._advance_clock = now
-        total_gpus = self.cluster.total_gpus
-        contention = self.contention
-        uncoordinated_penalty = self.uncoordinated_penalty
-        utilization = [0.0] * NUM_RESOURCES
-        running_jobs = 0
-        for rgroup in running.values():
-            running_jobs += len(rgroup.active)
-            if rgroup.penalty_remaining == 0.0 and span > 0:
-                share = rgroup.steady_share(
-                    contention, uncoordinated_penalty, total_gpus
-                )
-            else:
-                period = rgroup.period(contention, uncoordinated_penalty)
-                productive_share = max(
-                    0.0, (span - rgroup.penalty_remaining) / span
-                ) if span > 0 else 0.0
-                weight = rgroup.group.num_gpus / total_gpus * productive_share
-                share = [busy / period * weight for busy in rgroup.busy_times()]
-            utilization = [
-                used + added for used, added in zip(utilization, share)
-            ]
-
-        blocking = 0.0
-        if pending:
-            ratios = []
-            for job in pending.values():
-                remaining = job.remaining_service_time
-                if remaining > 0:
-                    ratios.append(job.pending_time(now) / remaining)
-            blocking = sum(ratios) / len(ratios) if ratios else 0.0
-
-        result.timeseries.append(
-            TimePoint(
-                time=now,
-                span=span,
-                queue_length=len(pending),
-                running_jobs=running_jobs,
-                blocking_index=blocking,
-                utilization=tuple(min(1.0, u) for u in utilization),
-            )
-        )
-
-        if self.monitor is not None:
-            self._feed_monitor(now, span, running)
 
     def _feed_monitor(
         self,

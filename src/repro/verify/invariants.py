@@ -417,6 +417,12 @@ class InvariantChecker(Tracer):
         # the scheduler re-proposes the same (kept) groups every tick —
         # memoizing passed checks makes the steady state a set lookup.
         self._groups_ok: Set[Tuple] = set()
+        # The previous plan's checked groups by identity: schedulers
+        # hand back the same frozen JobGroup objects for unchanged
+        # groups, which were checked then and skip building their
+        # content key now.  Holding the objects keeps their ids from
+        # being reused.
+        self._plan_ok: Dict[int, Any] = {}
 
     def _check_event(self, name: str, sim_time: float, args: Dict[str, Any]) -> None:
         """Dispatch one instant event to the armed event invariants."""
@@ -616,24 +622,27 @@ class InvariantChecker(Tracer):
         total_gpus: Optional[int],
     ) -> None:
         """Validate the simulator's deduplicated proposal."""
+        previous = self._plan_ok
+        self._plan_ok = passed = {}
         for group in groups:
-            key = (
-                tuple(job.job_id for job in group.jobs),
-                tuple(group.offsets),
-                tuple(p.durations for p in group.believed_profiles),
-            )
-            if key in self._groups_ok:
-                continue
-            check_group_wellformed(
-                group,
-                tolerance=self.tolerance,
-                sim_time=sim_time,
-                invariants=self.invariants,
-                _raise=self._fail,
-            )
-            self._groups_ok.add(key)
-            if len(self._groups_ok) > 100_000:
-                self._groups_ok.clear()
+            if previous.get(id(group)) is not group:
+                key = (
+                    tuple(job.job_id for job in group.jobs),
+                    tuple(group.offsets),
+                    tuple(p.durations for p in group.believed_profiles),
+                )
+                if key not in self._groups_ok:
+                    check_group_wellformed(
+                        group,
+                        tolerance=self.tolerance,
+                        sim_time=sim_time,
+                        invariants=self.invariants,
+                        _raise=self._fail,
+                    )
+                    self._groups_ok.add(key)
+                    if len(self._groups_ok) > 100_000:
+                        self._groups_ok.clear()
+            passed[id(group)] = group
         if (
             "plan_capacity" in self.invariants
             and total_gpus is not None

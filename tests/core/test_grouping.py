@@ -1,7 +1,10 @@
 """Tests for the multi-round grouping algorithm (Algorithm 1)."""
 
+import random
+
 import pytest
 
+from repro.core.group import JobGroup
 from repro.core.grouping import MultiRoundGrouper
 from repro.jobs.job import Job, JobSpec
 from repro.jobs.stage import StageProfile
@@ -299,3 +302,114 @@ class TestMinEfficiency:
         result = MultiRoundGrouper(min_efficiency=0.3).group(jobs, capacity=1)
         assert len(result.groups) == 1
         assert result.groups[0].size == 2
+
+
+def _eager_total_efficiency(groups):
+    """The sum ``GroupingResult`` used to compute at construction."""
+    return sum(group.believed_efficiency for group in groups if group.size > 1)
+
+
+def _queue(seed, count, gpu_choices=(1,)):
+    rng = random.Random(seed)
+    return [
+        Job(JobSpec(
+            profile=StageProfile(
+                tuple(round(rng.uniform(0.05, 5.0), 3) for _ in range(4))
+            ),
+            num_gpus=rng.choice(gpu_choices),
+            num_iterations=rng.randint(1, 500),
+        ))
+        for _ in range(count)
+    ]
+
+
+class TestLazyTotalEfficiency:
+    @pytest.mark.parametrize(
+        "kwargs,count",
+        [
+            ({"sparsify_threshold": None}, 40),  # dense
+            ({"sparsify_threshold": 16}, 40),  # sparse
+            ({"sparsify_threshold": 16, "workers": 2}, 72),  # parallel
+        ],
+        ids=["dense", "sparse", "parallel"],
+    )
+    def test_equals_eager_sum_bit_for_bit(self, kwargs, count):
+        jobs = _queue(seed=count, count=count, gpu_choices=(1, 2))
+        grouper = MultiRoundGrouper(**kwargs)
+        try:
+            result = grouper.group(jobs, capacity=8)
+            eager = _eager_total_efficiency(result.groups)
+            assert any(group.size > 1 for group in result.groups)
+            # Later calls reuse groups and refill every cache; the
+            # value read afterwards must still be the eager one.
+            grouper.group(list(reversed(jobs)), capacity=8)
+            grouper.group(jobs[: count // 2], capacity=4)
+            assert result.total_efficiency == eager
+            assert result.total_efficiency == eager
+        finally:
+            grouper.close()
+
+    def test_grouping_pass_does_not_evaluate_efficiency(self, monkeypatch):
+        calls = []
+        original = JobGroup.believed_efficiency.fget
+
+        def counting(group):
+            calls.append(group)
+            return original(group)
+
+        monkeypatch.setattr(
+            JobGroup, "believed_efficiency", property(counting)
+        )
+        result = MultiRoundGrouper().group(
+            [make_job(p) for p in (STORAGE, CPU, GPU, NETWORK)], capacity=1
+        )
+        assert result.groups[0].size == 4
+        assert calls == []
+        assert result.total_efficiency > 0
+        assert len(calls) == 1
+
+
+class TestGroupReuse:
+    def _keys(self, result):
+        return {
+            group.jobs[0].job_id if group.size == 1
+            else tuple(job.job_id for job in group.jobs)
+            for group in result.groups
+        }
+
+    def test_map_holds_only_the_last_calls_groups(self):
+        jobs = _queue(seed=1, count=12)
+        grouper = MultiRoundGrouper()
+        first = grouper.group(jobs, capacity=8)
+        assert any(group.size > 1 for group in first.groups)
+        assert any(group.size == 1 for group in first.groups)
+        assert set(grouper._formed_groups) == self._keys(first)
+        second = grouper.group(jobs[6:], capacity=6)
+        assert set(grouper._formed_groups) == self._keys(second)
+        assert grouper._formed_groups_prev == {}
+        grouper.reset_caches()
+        assert grouper._formed_groups == {}
+
+    def test_reuses_a_group_only_for_the_same_jobs_and_profiles(self):
+        jobs = _queue(seed=2, count=12)
+        profiles = [job.profile for job in jobs]
+        grouper = MultiRoundGrouper()
+        first = grouper.group(jobs, profiles, capacity=4)
+        assert any(group.size > 1 for group in first.groups)
+        # Same objects: every group comes back as the same object.
+        again = grouper.group(jobs, profiles, capacity=4)
+        assert all(a is b for a, b in zip(again.groups, first.groups))
+        # An equal but distinct profile object misses the map for the
+        # one group holding that job, which is rebuilt equal.
+        fresh = StageProfile(tuple(profiles[0].durations))
+        believed = [fresh] + profiles[1:]
+        third = grouper.group(jobs, believed, capacity=4)
+        for before, after in zip(again.groups, third.groups):
+            if jobs[0] in before.jobs:
+                assert after is not before
+                assert after.believed_profiles[0] is fresh
+            else:
+                assert after is before
+        # Every group equals a cold grouper's.
+        cold = MultiRoundGrouper().group(jobs, believed, capacity=4)
+        assert third.groups == cold.groups

@@ -12,7 +12,7 @@ from repro.cluster.cluster import Cluster
 from repro.core.ordering import group_iteration_time
 from repro.elastic import attach_scalability
 from repro.hetero.types import DEFAULT_TYPE_SCALING, get_gpu_type
-from repro.jobs.job import JobSpec
+from repro.jobs.job import JobSpec, JobStatus
 from repro.jobs.resources import NUM_RESOURCES
 from repro.models.zoo import DEFAULT_MODELS, get_model
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
@@ -223,3 +223,100 @@ def test_running_group_caches_match_fresh_computation(
                     break
     result = simulator.finalize(state)
     assert set(result.jcts) == {spec.job_id for spec in specs}
+
+
+def _time_to_next_event(simulator, rgroup):
+    return rgroup.time_to_next_event(
+        simulator.contention, simulator.uncoordinated_penalty
+    )
+
+
+def _assert_indexes_fresh(simulator, state):
+    """``live`` lists the non-terminal jobs in ``jobs`` order, and a
+    known ``group_horizon`` equals a fresh minimum over ``running``."""
+    assert list(state.live) == [
+        job_id
+        for job_id, job in state.jobs.items()
+        if job.status not in (JobStatus.FINISHED, JobStatus.FAILED)
+    ]
+    if not state.running:
+        assert state.group_horizon is None
+    elif state.group_horizon is not None:
+        assert state.group_horizon == min(
+            _time_to_next_event(simulator, rgroup)
+            for rgroup in state.running.values()
+        )
+
+
+def _horizon_member(simulator, state):
+    """A member of the running group whose next event is earliest, so
+    stopping it changes the minimum a stale ``group_horizon`` holds."""
+    rgroup = min(
+        state.running.values(),
+        key=lambda rgroup: _time_to_next_event(simulator, rgroup),
+    )
+    return rgroup.active[0]
+
+
+@pytest.mark.parametrize("scheduler_name", ["fifo", "muri-s", "antman"])
+@settings(max_examples=12, deadline=None)
+@given(
+    specs=contended_workloads(),
+    late=contended_workloads(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    actions=st.lists(
+        st.sampled_from([None, None, "cancel", "resize", "inject"]),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_live_index_and_group_horizon_match_fresh_computation(
+    scheduler_name, specs, late, seed, actions
+):
+    """After every step, inject, cancel and resize, ``state.live`` and
+    ``state.group_horizon`` agree with a recomputation from ``jobs`` and
+    ``running``, with faults (progress loss) on and elastic jobs."""
+    specs = attach_scalability(specs, fraction=1.0, seed=seed, max_gpus=8)
+    late = iter(attach_scalability(late, fraction=1.0, seed=seed, max_gpus=8))
+    simulator = ClusterSimulator(
+        make_scheduler(scheduler_name),
+        cluster=Cluster(2, 4),
+        scheduling_interval=120.0,
+        restart_penalty=5.0,
+        fault_injector=FaultInjector(
+            mean_time_between_faults=300.0, seed=seed, progress_loss=0.5
+        ),
+    )
+    state = simulator.begin(specs, "indexes")
+    _assert_indexes_fresh(simulator, state)
+    actions = iter(actions)
+    while state.unfinished:
+        simulator.step(state)
+        _assert_indexes_fresh(simulator, state)
+        action = next(actions, None)
+        if action == "inject":
+            spec = next(late, None)
+            if spec is not None:
+                simulator.inject(state, spec)
+        elif action == "cancel" and state.running:
+            simulator.cancel(state, _horizon_member(simulator, state).job_id)
+        elif action == "cancel" and state.pending:
+            simulator.cancel(state, next(iter(state.pending)))
+        elif action == "resize" and state.running:
+            job = _horizon_member(simulator, state)
+            counts = [
+                count for count in job.spec.scalability.gpu_counts
+                if count != job.num_gpus
+            ]
+            if counts:
+                simulator.resize(state, job.job_id, counts[seed % len(counts)])
+        _assert_indexes_fresh(simulator, state)
+        # Filling the horizon on demand must also give the fresh value.
+        simulator.next_event_time(state)
+        _assert_indexes_fresh(simulator, state)
+    result = simulator.finalize(state)
+    assert set(result.jcts) == {
+        job_id
+        for job_id, job in state.jobs.items()
+        if job.status is JobStatus.FINISHED
+    }

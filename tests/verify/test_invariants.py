@@ -301,6 +301,35 @@ class TestInspectChecks:
         assert exc.value.invariant == "plan_capacity"
         assert exc.value.details["demand"] == 8
 
+    def test_plan_reproposing_the_same_objects_skips_the_recheck(
+        self, monkeypatch
+    ):
+        import repro.verify.invariants as invariants_module
+
+        calls = []
+        original = invariants_module.check_group_wellformed
+
+        def counting(group, **kwargs):
+            calls.append(group)
+            return original(group, **kwargs)
+
+        monkeypatch.setattr(
+            invariants_module, "check_group_wellformed", counting
+        )
+        checker = InvariantChecker(invariants=["offsets_distinct"])
+        jobs = (make_job(job_id=0), make_job(job_id=1))
+        profiles = tuple(job.profile for job in jobs)
+        good = JobGroup(jobs, profiles, (0, 1))
+        checker.inspect("sim.plan", 0.0, groups=[good], total_gpus=4)
+        checker.inspect("sim.plan", 1.0, groups=[good], total_gpus=4)
+        assert calls == [good]
+        # A new object with the same members is checked on its content.
+        bad = JobGroup(jobs, profiles, (0, 0))
+        with pytest.raises(InvariantViolation) as exc:
+            checker.inspect("sim.plan", 2.0, groups=[good, bad], total_gpus=4)
+        assert exc.value.invariant == "offsets_distinct"
+        assert calls == [good, bad]
+
     def test_plan_membership_violation(self):
         checker = InvariantChecker(invariants=["exclusive_membership"])
         job = make_job(job_id=7)

@@ -38,7 +38,6 @@ class DoubleBookingGrouper(MultiRoundGrouper):
                 extra = JobGroup.solo(formed.jobs[0])
                 return GroupingResult(
                     groups=result.groups + (extra,),
-                    total_efficiency=result.total_efficiency,
                     rounds=result.rounds,
                     total_gpu_demand=result.total_gpu_demand + extra.num_gpus,
                 )
