@@ -1109,14 +1109,19 @@ class MultiRoundGrouper:
             if efficiency is None:
                 efficiency = group.believed_efficiency
                 self._efficiency_cache[key] = efficiency
+        # Without candidate provenance the map stays empty, so each
+        # member's record is the same (and the scheduler files one).
+        candidates = {}
+        if self._prov_candidates is not None:
+            candidates = {
+                job_id: self._job_candidates(job_id) for job_id in members
+            }
         return GroupDecision(
             members=members,
             efficiency=efficiency,
             round_formed=node.round_formed,
             seeded=node.seeded,
-            candidates={
-                job_id: self._job_candidates(job_id) for job_id in members
-            },
+            candidates=candidates,
         )
 
     def _decision_from_group(self, group: JobGroup) -> GroupDecision:

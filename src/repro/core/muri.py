@@ -367,6 +367,7 @@ class MuriScheduler(Scheduler):
         decisions = self.grouper.last_decisions
         if tracer is None or decisions is None:
             return
+        provenance = tracer.provenance
         for decision in decisions:
             if len(decision.members) > 1:
                 tracer.emit(
@@ -378,19 +379,22 @@ class MuriScheduler(Scheduler):
                     round=decision.round_formed,
                     seeded=decision.seeded,
                 )
+            # Records are immutable: without per-job candidates every
+            # member files the same one.
+            candidates = decision.candidates
+            record = None
             for job_id in decision.members:
-                tracer.provenance.record_grouping(
-                    job_id,
-                    GroupingRecord(
+                if record is None or candidates:
+                    record = GroupingRecord(
                         sim_time=now,
                         reason=reason,
                         members=decision.members,
                         efficiency=decision.efficiency,
                         round_formed=decision.round_formed,
                         seeded=decision.seeded,
-                        candidates=decision.candidates.get(job_id, ()),
-                    ),
-                )
+                        candidates=candidates.get(job_id, ()),
+                    )
+                provenance.record_grouping(job_id, record)
 
     def notify_resize(self, job_id: int, old_gpus: int, new_gpus: int) -> None:
         """Invalidate every cache a resized job could have poisoned.

@@ -285,7 +285,10 @@ class Job:
         """
         if iterations < 0 or wall_time < 0:
             raise ValueError("progress must be non-negative")
-        self.remaining_iterations = max(0.0, self.remaining_iterations - iterations)
+        # ``max(0.0, x)`` without the builtin call: the same rule (keep
+        # 0.0 unless ``x > 0.0``), so -0.0 and NaN clamp to 0.0 too.
+        remaining = self.remaining_iterations - iterations
+        self.remaining_iterations = remaining if remaining > 0.0 else 0.0
         self.attained_service += wall_time
 
     def mark_started(self, now: float) -> None:
@@ -322,7 +325,8 @@ class Job:
     def pending_time(self, now: float) -> float:
         """Total time since submission not yet spent running."""
         reference = self.finish_time if self.finish_time is not None else now
-        return max(0.0, reference - self.spec.submit_time - self.attained_service)
+        waited = reference - self.spec.submit_time - self.attained_service
+        return waited if waited > 0.0 else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

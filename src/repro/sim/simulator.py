@@ -51,6 +51,7 @@ __all__ = ["ClusterSimulator", "SimulationError", "SimulationState"]
 _EPS = 1e-9
 #: Iterations below this count as "finished" (guards float drift).
 _ITER_EPS = 1e-6
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -858,8 +859,7 @@ class ClusterSimulator:
                     detail = (
                         f"group {member_ids}" if len(member_ids) > 1 else "solo"
                     )
-                    for job_id in member_ids:
-                        self._trace_outcome(job_id, now, "started", detail)
+                    self._trace_outcome(member_ids, now, "started", detail)
 
         if tracing:
             for group in unplaced_groups:
@@ -871,11 +871,10 @@ class ClusterSimulator:
                     members=member_ids,
                     gpus=group.num_gpus,
                 )
-                for job_id in member_ids:
-                    self._trace_outcome(
-                        job_id, now, "unplaced",
-                        f"needs {group.num_gpus} contiguous GPUs",
-                    )
+                self._trace_outcome(
+                    member_ids, now, "unplaced",
+                    f"needs {group.num_gpus} contiguous GPUs",
+                )
             tracer.emit(
                 EventCategory.SCHED,
                 "sched.decision",
@@ -905,12 +904,19 @@ class ClusterSimulator:
             ))
 
     def _trace_outcome(
-        self, job_id: int, sim_time: float, outcome: str, detail: str = ""
+        self,
+        job_ids: Sequence[int],
+        sim_time: float,
+        outcome: str,
+        detail: str = "",
     ) -> None:
-        """File one provenance outcome record (call only when tracing)."""
-        self.tracer.provenance.record_outcome(
-            job_id, OutcomeRecord(sim_time, outcome, detail)
-        )
+        """File one provenance outcome record under each of ``job_ids``
+        (call only when tracing).  Records are immutable, so the jobs
+        share one."""
+        provenance = self.tracer.provenance
+        record = OutcomeRecord(sim_time, outcome, detail)
+        for job_id in job_ids:
+            provenance.record_outcome(job_id, record)
 
     def _trace_preempt(self, now: float, rgroup: _RunningGroup) -> None:
         """Emit the preemption event + outcomes for one stopped group."""
@@ -924,8 +930,7 @@ class ClusterSimulator:
             now,
             members=members,
         )
-        for job_id in members:
-            self._trace_outcome(job_id, now, "preempted")
+        self._trace_outcome(members, now, "preempted")
 
     def _apply_resize(
         self,
@@ -969,7 +974,7 @@ class ClusterSimulator:
                 attained_after=job.attained_service,
             )
             self._trace_outcome(
-                job.job_id, now, "resized",
+                (job.job_id,), now, "resized",
                 f"{old_gpus} -> {num_gpus} GPUs",
             )
         self.scheduler.notify_resize(job.job_id, old_gpus, num_gpus)
@@ -1028,13 +1033,22 @@ class ClusterSimulator:
         seconds; returns True when a job completed or faulted (capacity
         freed).
 
-        One walk over the running groups: each adds its utilization
-        share (from its state at ``now``), advances, and — when it
-        survives — offers its time to next event for
-        ``state.group_horizon``.  The blocking index and the monitor
-        read the pre-advance state, before any fault requeues.
+        One walk over the running groups.  Each group adds its
+        utilization share (from its state at ``now``), advances its
+        members, and offers its time to next event for
+        ``state.group_horizon``.  The minimum remaining iterations of
+        the members is tracked while they advance; a positive period
+        makes ``min(r) * period`` equal ``min(r * period)`` exactly.
+        Completions and faults go to :meth:`_retire`, after which the
+        survivors' horizon is computed afresh.  The blocking index and
+        the monitor read the pre-advance state, before any fault
+        requeues.
+
+        The conditional forms below are the builtins' own rules:
+        ``min(a, b)`` is ``b if b < a else a`` and ``max(0.0, x)`` is
+        ``x if x > 0.0 else 0.0``, so ties, -0.0 and NaN come out the
+        same.
         """
-        self._advance_clock = now
         pending, running, result = state.pending, state.running, state.result
         queue_length = len(pending)
         blocking = 0.0
@@ -1051,46 +1065,104 @@ class ClusterSimulator:
         total_gpus = self.cluster.total_gpus
         contention = self.contention
         uncoordinated_penalty = self.uncoordinated_penalty
-        utilization = [0.0] * NUM_RESOURCES
+        by_type = result.gpu_seconds_by_type
+        # One accumulator per resource, summed in group order; the
+        # unpacking fails loudly if the resource count changes.
+        u0, u1, u2, u3 = [0.0] * NUM_RESOURCES
         running_jobs = 0
         group_horizon: Optional[float] = None
         changed = False
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
+        tracing = self.tracer is not None and self.tracer.enabled
         for key, rgroup in list(running.items()):
-            running_jobs += len(rgroup.active)
-            if rgroup.penalty_remaining == 0.0:
-                share = rgroup.steady_share(
-                    contention, uncoordinated_penalty, total_gpus
-                )
-            else:
+            active = rgroup.active
+            running_jobs += len(active)
+            period = rgroup._period
+            if period is None:
                 period = rgroup.period(contention, uncoordinated_penalty)
-                productive_share = max(
-                    0.0, (span - rgroup.penalty_remaining) / span
-                )
+            penalty = rgroup.penalty_remaining
+            if penalty == 0.0:
+                share = rgroup._share
+                if share is None:
+                    share = rgroup.steady_share(
+                        contention, uncoordinated_penalty, total_gpus
+                    )
+                productive = span
+            else:
+                productive_share = (span - penalty) / span
+                if not productive_share > 0.0:
+                    productive_share = 0.0
                 weight = rgroup.group.num_gpus / total_gpus * productive_share
                 share = [busy / period * weight for busy in rgroup.busy_times()]
-            utilization = [
-                used + added for used, added in zip(utilization, share)
-            ]
+                paid = span if span < penalty else penalty
+                rgroup.penalty_remaining = penalty = penalty - paid
+                productive = span - paid
+            s0, s1, s2, s3 = share
+            u0 += s0
+            u1 += s1
+            u2 += s2
+            u3 += s3
 
-            if rgroup.slots_by_type:
-                by_type = result.gpu_seconds_by_type
-                for name, count in rgroup.slots_by_type.items():
+            slots_by_type = rgroup.slots_by_type
+            if slots_by_type:
+                for name, count in slots_by_type.items():
                     by_type[name] = by_type.get(name, 0.0) + span * count
-            paid = min(rgroup.penalty_remaining, span)
-            rgroup.penalty_remaining -= paid
-            productive = span - paid
-            if productive > 0 and self._advance_group(
-                key, rgroup, productive, span, state, tracing
-            ):
-                changed = True
-            if rgroup.active:
+            if productive > 0:
+                delta = productive / period
+                low = next_fault = _INF
+                retire = False
+                deadlines = rgroup.fault_deadlines
+                if deadlines:
+                    for job in active:
+                        remaining = job.remaining_iterations
+                        job.advance(
+                            remaining if remaining < delta else delta,
+                            productive,
+                        )
+                        remaining = job.remaining_iterations
+                        deadline = deadlines.get(job.job_id)
+                        if deadline is not None:
+                            deadline -= productive
+                            deadlines[job.job_id] = deadline
+                        if remaining <= _ITER_EPS or (
+                            deadline is not None and deadline <= _EPS
+                        ):
+                            retire = True
+                        else:
+                            if remaining < low:
+                                low = remaining
+                            if deadline is not None and deadline < next_fault:
+                                next_fault = deadline
+                else:
+                    for job in active:
+                        remaining = job.remaining_iterations
+                        job.advance(
+                            remaining if remaining < delta else delta,
+                            productive,
+                        )
+                        remaining = job.remaining_iterations
+                        if remaining <= _ITER_EPS:
+                            retire = True
+                        elif remaining < low:
+                            low = remaining
+                if retire:
+                    changed = True
+                    self._retire(key, rgroup, now + span, state, tracing)
+                    if not active:
+                        continue
+                    horizon = rgroup.time_to_next_event(
+                        contention, uncoordinated_penalty
+                    )
+                else:
+                    horizon = low * period
+                    if next_fault < horizon:
+                        horizon = next_fault
+                    horizon = penalty + horizon
+            else:
                 horizon = rgroup.time_to_next_event(
                     contention, uncoordinated_penalty
                 )
-                if group_horizon is None or horizon < group_horizon:
-                    group_horizon = horizon
+            if group_horizon is None or horizon < group_horizon:
+                group_horizon = horizon
         state.group_horizon = group_horizon
 
         result.timeseries.append(
@@ -1100,104 +1172,96 @@ class ClusterSimulator:
                 queue_length=queue_length,
                 running_jobs=running_jobs,
                 blocking_index=blocking,
-                utilization=tuple(min(1.0, u) for u in utilization),
+                utilization=(
+                    u0 if u0 < 1.0 else 1.0,
+                    u1 if u1 < 1.0 else 1.0,
+                    u2 if u2 < 1.0 else 1.0,
+                    u3 if u3 < 1.0 else 1.0,
+                ),
             )
         )
         return changed
 
-    def _advance_group(
+    def _retire(
         self,
         key: FrozenSet[int],
         rgroup: _RunningGroup,
-        productive: float,
-        span: float,
+        end: float,
         state: SimulationState,
         tracing: bool,
-    ) -> bool:
-        """Run one group for ``productive`` seconds of a ``span``-second
-        step; returns True when a member completed or faulted."""
+    ) -> None:
+        """Finish the members of ``rgroup`` that completed at ``end`` and
+        requeue the ones whose fault deadline passed, then release the
+        group's GPUs if no member is left, or re-key it to the
+        survivors."""
         tracer = self.tracer
         pending, running = state.pending, state.running
-        changed = False
-        period = rgroup.period(self.contention, self.uncoordinated_penalty)
-        delta_iters = productive / period
-
+        deadlines = rgroup.fault_deadlines
         completed: List[Job] = []
         faulted: List[Job] = []
         for job in rgroup.active:
-            job.advance(min(delta_iters, job.remaining_iterations), productive)
-            deadline = rgroup.fault_deadlines.get(job.job_id)
-            if deadline is not None:
-                deadline -= productive
-                rgroup.fault_deadlines[job.job_id] = deadline
             if job.remaining_iterations <= _ITER_EPS:
                 completed.append(job)
-            elif deadline is not None and deadline <= _EPS:
-                faulted.append(job)
+            else:
+                deadline = deadlines.get(job.job_id)
+                if deadline is not None and deadline <= _EPS:
+                    faulted.append(job)
 
         for job in completed:
             # The horizon was chosen as the earliest group event, so
             # a completing member finishes exactly at span end.
-            finish_time = self._advance_clock + span
-            job.mark_finished(finish_time)
+            job.mark_finished(end)
             del state.live[job.job_id]
             rgroup.drop(job)
-            changed = True
             if tracing:
                 tracer.emit(
                     EventCategory.JOB,
                     "job.finish",
-                    finish_time,
+                    end,
                     job=job.job_id,
                     jct=job.completion_time(),
                 )
                 self._trace_outcome(
-                    job.job_id, finish_time, "finished",
+                    (job.job_id,), end, "finished",
                     f"JCT {job.completion_time():.1f}s",
                 )
         for job in faulted:
-            if job in rgroup.active:
-                fault_time = self._advance_clock + span
-                if self.monitor is not None:
-                    self.monitor.report_fault(
-                        self._advance_clock + span, job.job_id
-                    )
-                loss = self.fault_injector.progress_loss
-                remaining_before = job.remaining_iterations
-                if loss > 0:
-                    executed = job.spec.num_iterations - job.remaining_iterations
-                    job.remaining_iterations = min(
-                        float(job.spec.num_iterations),
-                        job.remaining_iterations + executed * loss,
-                    )
-                if tracing:
-                    tracer.emit(
-                        EventCategory.JOB,
-                        "job.fault",
-                        fault_time,
-                        job=job.job_id,
-                        remaining_before=remaining_before,
-                        remaining_after=job.remaining_iterations,
-                        total_iterations=job.spec.num_iterations,
-                        progress_loss=loss,
-                    )
-                    self._trace_outcome(
-                        job.job_id, fault_time, "faulted",
-                        "requeued with checkpointed progress",
-                    )
-                job.mark_stopped()
-                rgroup.drop(job)
-                pending[job.job_id] = job
-                changed = True
+            if self.monitor is not None:
+                self.monitor.report_fault(end, job.job_id)
+            loss = self.fault_injector.progress_loss
+            remaining_before = job.remaining_iterations
+            if loss > 0:
+                executed = job.spec.num_iterations - job.remaining_iterations
+                job.remaining_iterations = min(
+                    float(job.spec.num_iterations),
+                    job.remaining_iterations + executed * loss,
+                )
+            if tracing:
+                tracer.emit(
+                    EventCategory.JOB,
+                    "job.fault",
+                    end,
+                    job=job.job_id,
+                    remaining_before=remaining_before,
+                    remaining_after=job.remaining_iterations,
+                    total_iterations=job.spec.num_iterations,
+                    progress_loss=loss,
+                )
+                self._trace_outcome(
+                    (job.job_id,), end, "faulted",
+                    "requeued with checkpointed progress",
+                )
+            job.mark_stopped()
+            rgroup.drop(job)
+            pending[job.job_id] = job
         if not rgroup.active:
             self.cluster.release(rgroup.allocation.owner)
             del running[key]
-        elif completed or faulted:
+        else:
             # Membership changed: re-key the group to its surviving
             # members so the scheduler can keep it running instead
             # of seeing an unknown (stale) group and preempting it.
             self._rekey_group(key, rgroup, running)
-        return changed
 
     @staticmethod
     def _rekey_group(
@@ -1224,9 +1288,6 @@ class ClusterSimulator:
         )
         del running[old_key]
         running[frozenset(survivor_ids)] = rgroup
-
-    #: Set before each advance so finish times are exact.
-    _advance_clock: float = 0.0
 
     def _feed_monitor(
         self,

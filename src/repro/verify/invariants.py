@@ -413,9 +413,11 @@ class InvariantChecker(Tracer):
         self._total_gpus: Optional[int] = None
         self._allocated = 0
         self._job_group: Dict[int, _GroupState] = {}
-        # Structural group checks are pure in the group's contents, and
-        # the scheduler re-proposes the same (kept) groups every tick —
-        # memoizing passed checks makes the steady state a set lookup.
+        # Structural group checks are pure in the members' GPU counts,
+        # offsets and believed durations (and k), not in which jobs they
+        # are: kept groups are re-proposed every tick, and solo groups
+        # of one model at one size recur across jobs, so both skip the
+        # recheck once their contents have passed.
         self._groups_ok: Set[Tuple] = set()
         # The previous plan's checked groups by identity: schedulers
         # hand back the same frozen JobGroup objects for unchanged
@@ -627,9 +629,10 @@ class InvariantChecker(Tracer):
         for group in groups:
             if previous.get(id(group)) is not group:
                 key = (
-                    tuple(job.job_id for job in group.jobs),
+                    tuple(job.num_gpus for job in group.jobs),
                     tuple(group.offsets),
                     tuple(p.durations for p in group.believed_profiles),
+                    group.num_resources,
                 )
                 if key not in self._groups_ok:
                     check_group_wellformed(

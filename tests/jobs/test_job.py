@@ -1,5 +1,7 @@
 """Tests for JobSpec and runtime Job state."""
 
+import math
+
 import pytest
 
 from repro.jobs.job import Job, JobSpec, JobStatus
@@ -150,3 +152,60 @@ class TestJobProgress:
         assert job.name == spec.name
         assert job.num_gpus == 2
         assert job.profile is spec.profile
+
+
+INF, NAN, TINY = math.inf, math.nan, 5e-324
+
+
+def same_float(a, b):
+    """Equal as floats, sign bit included; NaN matches NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestClampEdgeValues:
+    """``advance`` and ``pending_time`` clamp with a conditional instead
+    of ``max(0.0, x)``; both must agree with the builtin on every edge
+    value, sign bit included."""
+
+    @pytest.mark.parametrize("remaining, iterations", [
+        (-0.0, 0.0),      # x = -0.0
+        (0.0, 0.0),       # x = 0.0
+        (-0.0, -0.0),     # x = 0.0 from two negative zeros
+        (TINY, 0.0),      # x = smallest subnormal
+        (0.0, TINY),      # x = -smallest subnormal
+        (3.5, 3.5),       # equal operands
+        (NAN, 0.0),       # x = NaN
+        (1.0, NAN),       # NaN progress passes the sign check
+        (INF, 0.0),       # x = +inf
+        (INF, INF),       # inf - inf = NaN
+        (1.0, INF),       # x = -inf
+        (-INF, 0.0),      # x = -inf
+    ])
+    def test_advance_matches_builtin_max(self, remaining, iterations):
+        job = Job(make_spec())
+        job.remaining_iterations = remaining
+        job.advance(iterations, 0.0)
+        expected = max(0.0, remaining - iterations)
+        assert same_float(job.remaining_iterations, expected)
+
+    @pytest.mark.parametrize("now, attained", [
+        (-0.0, 0.0),
+        (0.0, 0.0),
+        (-0.0, -0.0),
+        (TINY, 0.0),
+        (0.0, TINY),
+        (7.0, 7.0),
+        (NAN, 0.0),
+        (0.0, NAN),
+        (INF, 0.0),
+        (INF, INF),
+        (-INF, 0.0),
+        (0.0, INF),
+    ])
+    def test_pending_time_matches_builtin_max(self, now, attained):
+        job = Job(make_spec(submit_time=0.0))
+        job.attained_service = attained
+        expected = max(0.0, now - 0.0 - attained)
+        assert same_float(job.pending_time(now), expected)

@@ -15,6 +15,7 @@ from repro.hetero.types import DEFAULT_TYPE_SCALING, get_gpu_type
 from repro.jobs.job import JobSpec, JobStatus
 from repro.jobs.resources import NUM_RESOURCES
 from repro.models.zoo import DEFAULT_MODELS, get_model
+from repro.observe.tracer import Tracer
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.faults import FaultInjector
 from repro.sim.simulator import ClusterSimulator
@@ -320,3 +321,70 @@ def test_live_index_and_group_horizon_match_fresh_computation(
         for job_id, job in state.jobs.items()
         if job.status is JobStatus.FINISHED
     }
+
+
+class _FaultAuditTracer(Tracer):
+    """Records, for each ``job.fault`` event, the iterations the job
+    holds at the moment the event is emitted."""
+
+    def __init__(self):
+        super().__init__()
+        self.jobs = {}
+        self.fault_holdings = []
+
+    def emit(self, category, name, sim_time=0.0, **args):
+        if name == "job.fault":
+            self.fault_holdings.append(
+                (args["remaining_after"],
+                 self.jobs[args["job"]].remaining_iterations)
+            )
+        super().emit(category, name, sim_time, **args)
+
+
+@pytest.mark.parametrize("scheduler_name", ["fifo", "muri-s", "antman"])
+@settings(max_examples=10, deadline=None)
+@given(specs=contended_workloads(), seed=st.integers(min_value=0, max_value=2**16))
+def test_tracing_leaves_faulted_typed_runs_unchanged(scheduler_name, specs, seed):
+    """On a typed cluster with landing-speed scaling, a restart penalty
+    and faults with progress loss, an enabled tracer changes nothing
+    in the result; every finished job has exactly one ``job.finish``
+    event at its finish time, and every ``job.fault`` event reports the
+    iterations the job really holds after the fault."""
+
+    def run(tracer):
+        simulator = ClusterSimulator(
+            make_scheduler(scheduler_name, tracer=tracer),
+            cluster=Cluster(2, 4, machine_types=[
+                get_gpu_type("k80"), get_gpu_type("a100")
+            ]),
+            scheduling_interval=120.0,
+            restart_penalty=5.0,
+            fault_injector=FaultInjector(
+                mean_time_between_faults=300.0, seed=seed, progress_loss=0.3
+            ),
+            landing_speed_scaling=DEFAULT_TYPE_SCALING,
+            tracer=tracer,
+        )
+        state = simulator.begin(specs, "traced")
+        if tracer is not None:
+            tracer.jobs = state.jobs
+        while state.unfinished:
+            simulator.step(state)
+        payload = simulator.finalize(state).to_dict()
+        payload.pop("wall_clock")
+        return payload
+
+    tracer = _FaultAuditTracer()
+    traced = run(tracer)
+    assert traced == run(None)
+
+    finishes = {}
+    for event in tracer.events:
+        if event.name == "job.finish":
+            finishes.setdefault(event.args["job"], []).append(event.sim_time)
+    assert finishes == {
+        int(job_id): [finish_time]
+        for job_id, finish_time in traced["finish_times"].items()
+    }
+    for reported, held in tracer.fault_holdings:
+        assert reported == held
