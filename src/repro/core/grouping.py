@@ -45,9 +45,6 @@ scaling" in ``docs/simulation_model.md``):
 * **Vectorized weight kernels.**  Edge weights evaluate all offset
   assignments in one batch from cached slot-max tables
   (:func:`repro.core.ordering.best_period_for_rows`).
-* **Quantized weight cache.**  With ``cache_quantum > 0`` the weight
-  cache keys snap durations to a grid, so profiling noise does not
-  destroy the hit rate.
 * **Incremental decision cache.**  Each bucket's matching is memoized
   against the bucket's node-key sequence; a queue segment unchanged
   since the previous scheduling round skips matching entirely.
@@ -66,11 +63,9 @@ from repro.core.ordering import (
     batched_best_periods,
     best_ordering,
     best_period_for_rows,
-    group_iteration_time,
     identity_ordering,
     worst_ordering,
 )
-from repro.core.parallel import BucketPool, bucket_payload
 from repro.jobs.job import Job
 from repro.jobs.resources import NUM_RESOURCES
 from repro.jobs.stage import StageProfile
@@ -103,8 +98,8 @@ _MatchedPair = Tuple[float, int, int]
 class _Node:
     """A (possibly merged) node of the matching graph.
 
-    ``keys`` carries one (possibly quantized) durations key per member
-    profile so cache keys never re-derive them from the profiles.
+    ``keys`` carries each member profile's durations tuple, so cache
+    keys never re-derive them from the profiles.
     ``round_formed`` and ``seeded`` are provenance breadcrumbs: the
     matching round whose merge produced this node (0 = never merged)
     and whether it entered the graph pre-merged as a running group.
@@ -193,19 +188,6 @@ class MultiRoundGrouper:
         max_degree: Edges kept per node in the sparse candidate graph.
         probe_limit: Candidate weight evaluations per node in the
             sparse build (defaults to ``3 * max_degree``).
-        cache_quantum: Grid (in seconds) the weight/ordering cache keys
-            snap durations to.  ``0`` keys on exact durations; a
-            positive quantum trades a little decision quality for cache
-            hits that survive profiling noise.
-        workers: Process-pool width for per-bucket matchings.  GPU-count
-            buckets never interact (Algorithm 1 groups within a bucket
-            only), so with ``workers > 1`` the blossom matchings of
-            large buckets that missed the decision cache are dispatched
-            over a :class:`~repro.core.parallel.BucketPool` and merged
-            back in bucket order — plans are bit-identical to the
-            serial path (``workers=1``), which also remains the
-            fallback whenever the pool fails or tracing needs in-process
-            provenance.
         tracer: Optional :class:`~repro.observe.Tracer`.  When enabled,
             the grouper times its matching rounds, counts weight /
             decision cache hits, and publishes per-group
@@ -215,10 +197,6 @@ class MultiRoundGrouper:
 
     #: Candidate edges kept per job in provenance records.
     PROVENANCE_CANDIDATE_CAP = 6
-
-    #: Buckets smaller than this are always matched in-process — the
-    #: IPC round-trip would cost more than the matching itself.
-    PARALLEL_MIN_NODES = 16
 
     def __init__(
         self,
@@ -232,8 +210,6 @@ class MultiRoundGrouper:
         sparsify_threshold: Optional[int] = 128,
         max_degree: int = 8,
         probe_limit: Optional[int] = None,
-        cache_quantum: float = 0.0,
-        workers: int = 1,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if max_group_size < 1:
@@ -247,10 +223,6 @@ class MultiRoundGrouper:
             raise ValueError(f"unknown matcher {matcher!r}")
         if ordering not in _ORDERING_FNS:
             raise ValueError(f"unknown ordering policy {ordering!r}")
-        if cache_quantum < 0:
-            raise ValueError("cache_quantum must be >= 0")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.max_group_size = max_group_size
         self.num_resources = num_resources
         self.matcher = matcher
@@ -261,7 +233,6 @@ class MultiRoundGrouper:
             dict(gpu_memory_by_type) if gpu_memory_by_type else None
         )
         self.sparsify_threshold = sparsify_threshold
-        self.cache_quantum = cache_quantum
         self._sparsify_config: Optional[SparsifyConfig] = None
         if sparsify_threshold is not None:
             self._sparsify_config = SparsifyConfig(
@@ -294,8 +265,6 @@ class MultiRoundGrouper:
         # pure in them, and warm regroups re-form the same groups.
         # Filled only while tracing.
         self._efficiency_cache: Dict[Tuple, float] = {}
-        self.workers = workers
-        self._pool: Optional[BucketPool] = None
         self.tracer = tracer
         #: Whether the in-flight group() call is tracing — hoisted to a
         #: single flag so the weight/ordering inner loops pay zero
@@ -394,10 +363,9 @@ class MultiRoundGrouper:
         An elastic resize moves a job between GPU-count buckets, so the
         cached per-bucket matchings of both the source and destination
         bucket describe memberships that no longer exist.  The cache
-        keys embed each node's duration key and would miss anyway, but
-        explicit invalidation keeps correctness independent of key
-        granularity (a coarse ``cache_quantum`` must never revive a
-        pre-resize matching).  The weight/ordering caches are pure in
+        keys embed each node's exact durations and would miss anyway,
+        but explicit invalidation keeps correctness independent of
+        what the keys embed.  The weight/ordering caches are pure in
         the profile contents and stay.
 
         Args:
@@ -415,16 +383,6 @@ class MultiRoundGrouper:
                 del cache[key]
             dropped += len(stale)
         return dropped
-
-    def close(self) -> None:
-        """Shut down the per-bucket worker pool, if one was started.
-
-        Safe to call any number of times; the next parallel
-        :meth:`group` call lazily recreates the pool.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def _group_inner(
         self,
@@ -486,9 +444,6 @@ class MultiRoundGrouper:
 
     # -- internals ---------------------------------------------------------------
 
-    def _profile_key(self, profile: StageProfile) -> Tuple[float, ...]:
-        return profile.durations_key(self.cache_quantum)
-
     def _build_nodes(
         self,
         jobs: Sequence[Job],
@@ -538,7 +493,7 @@ class MultiRoundGrouper:
                 _Node(
                     node_jobs,
                     node_profiles,
-                    [self._profile_key(p) for p in node_profiles],
+                    [p.durations for p in node_profiles],
                     seeded=len(members) > 1,
                 )
             )
@@ -578,12 +533,9 @@ class MultiRoundGrouper:
         ``buckets[gpus]`` at call time.  Matchings are memoized per
         bucket against the node-key sequence, so a bucket unchanged
         since the previous ``group()`` call reuses its pairs without
-        rebuilding edges or rerunning the matcher.  With ``workers >
-        1`` the cache-missing large buckets are matched in parallel
-        (:meth:`_match_buckets_parallel`) before the in-order merge.
+        rebuilding edges or rerunning the matcher.
         """
         candidates: List[Tuple[float, int, int, int]] = []
-        entries: List[list] = []
         for gpus in bucket_order:
             nodes = buckets[gpus]
             if len(nodes) < 2:
@@ -593,18 +545,7 @@ class MultiRoundGrouper:
                 tuple(self._node_cache_key(node) for node in nodes),
             )
             matched = self._decision_cache_prev.get(bucket_key)
-            # entry: [gpus, nodes, bucket_key, matched, cache_hit]
-            entries.append([gpus, nodes, bucket_key, matched, matched is not None])
-
-        dispatch = self._parallel_dispatch(entries)
-        if dispatch:
-            parallel_results = self._match_buckets_parallel(
-                [entry[1] for entry in dispatch]
-            )
-            for entry, matched in zip(dispatch, parallel_results):
-                entry[3] = matched
-
-        for gpus, nodes, bucket_key, matched, cache_hit in entries:
+            cache_hit = matched is not None
             if matched is None:
                 with maybe_span(
                     self.tracer, "grouping.match", self._trace_now,
@@ -636,75 +577,6 @@ class MultiRoundGrouper:
             # ablation packs jobs in descending priority.
             candidates.sort(key=lambda c: c[1])
         return candidates
-
-    def _parallel_dispatch(self, entries: List[list]) -> List[list]:
-        """The cache-missing buckets worth sending to the pool.
-
-        Parallel dispatch needs ``workers > 1``, the blossom matcher
-        (greedy is O(n) and exact is capped at 12 nodes), no active
-        tracing (matching spans and candidate provenance are collected
-        in-process), and at least two sufficiently large miss buckets —
-        one bucket has nothing to overlap with.
-        """
-        if self.workers < 2 or self.matcher != "blossom" or self._tracing:
-            return []
-        eligible = [
-            entry
-            for entry in entries
-            if entry[3] is None and len(entry[1]) >= self.PARALLEL_MIN_NODES
-        ]
-        if len(eligible) < 2:
-            return []
-        # Worker payloads do not carry affinity metadata, so buckets
-        # with affine nodes must match serially (which enforces
-        # _affinity_compatible) rather than on the pool.
-        for entry in eligible:
-            for node in entry[1]:
-                if node.jobs[0].spec.gpu_affinity is not None:
-                    return []
-        return eligible
-
-    def _worker_config(self) -> Dict[str, object]:
-        """Constructor kwargs reproducing this grouper in a worker."""
-        config: Dict[str, object] = {
-            "max_group_size": self.max_group_size,
-            "num_resources": self.num_resources,
-            "matcher": self.matcher,
-            "ordering": self.ordering,
-            "min_efficiency": self.min_efficiency,
-            "gpu_memory_gb": self.gpu_memory_gb,
-            "sparsify_threshold": self.sparsify_threshold,
-            "cache_quantum": self.cache_quantum,
-        }
-        if self._sparsify_config is not None:
-            config["max_degree"] = self._sparsify_config.max_degree
-            config["probe_limit"] = self._sparsify_config.probe_limit
-        return config
-
-    def _match_buckets_parallel(
-        self, node_lists: List[List[_Node]]
-    ) -> List[Optional[List[_MatchedPair]]]:
-        """Match several buckets on the worker pool.
-
-        Returns one pair list per bucket, aligned with ``node_lists``;
-        ``None`` marks a bucket the pool could not match (broken pool
-        beyond its rebuild budget, or a deterministic worker error) —
-        the caller re-runs those serially, which is bit-identical and
-        reproduces any real exception in the parent process.
-        """
-        if self._pool is None:
-            self._pool = BucketPool(self.workers)
-        with_memory = self.gpu_memory_gb is not None
-        payloads = [
-            bucket_payload(nodes, with_memory) for nodes in node_lists
-        ]
-        try:
-            return self._pool.match_buckets(self._worker_config(), payloads)
-        except Exception:
-            # Pool machinery failed outright (e.g. no process support):
-            # degrade to the serial path rather than lose the decision.
-            self.close()
-            return [None] * len(node_lists)
 
     def _match_bucket(self, nodes: List[_Node]) -> List[_MatchedPair]:
         """One matching over a bucket; pairs as (weight, i, j), i < j.
@@ -858,7 +730,7 @@ class MultiRoundGrouper:
                     tracer.count("grouping.weight_cache.miss")
                 pending[key] = [[slot], u.profiles + v.profiles]
             else:
-                # Another pair with the same quantized key: the scalar
+                # Another pair with the same key: the scalar
                 # path would have found it in the cache by now.
                 if tracing:
                     tracer.count("grouping.weight_cache.hit")

@@ -24,7 +24,7 @@ from repro.observe.events import EventCategory
 from repro.observe.provenance import GroupingRecord
 from repro.observe.tracer import Tracer, maybe_span
 from repro.profiler.profiler import ResourceProfiler
-from repro.schedulers.base import Scheduler, group_key
+from repro.schedulers.base import Scheduler
 
 __all__ = ["MuriScheduler"]
 
@@ -57,9 +57,6 @@ class MuriScheduler(Scheduler):
             to a bounded-degree candidate graph ("Decision latency and
             scaling" in docs/simulation_model.md); None disables it.
         max_degree: Candidate edges kept per node when sparsifying.
-        cache_quantum: Duration grid for the grouper's decision cache
-            keys; a positive value keeps cache hits alive under
-            profiling noise.
         event_regroup: When True, completion events re-run the full
             grouping pass instead of serving the stale overflow cache
             from the last tick.  The full pass stays cheap because the
@@ -72,9 +69,6 @@ class MuriScheduler(Scheduler):
             running groups or capacity additionally hit a whole-plan
             memo and skip the grouping pass outright (the batched
             warm-regroup path).
-        workers: Process-pool width for the grouper's per-bucket
-            matchings; ``1`` (default) is fully serial.  See
-            :class:`~repro.core.grouping.MultiRoundGrouper`.
         tracer: Optional :class:`~repro.observe.Tracer`.  When enabled,
             decide() calls are timed, group formations are emitted as
             events, and every grouping decision is filed per member job
@@ -94,9 +88,7 @@ class MuriScheduler(Scheduler):
         gpu_memory_by_type: Optional[Dict[str, float]] = None,
         sparsify_threshold: Optional[int] = 128,
         max_degree: int = 8,
-        cache_quantum: float = 0.0,
         event_regroup: bool = False,
-        workers: int = 1,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.policy: PriorityPolicy = (
@@ -117,8 +109,6 @@ class MuriScheduler(Scheduler):
             gpu_memory_by_type=gpu_memory_by_type,
             sparsify_threshold=sparsify_threshold,
             max_degree=max_degree,
-            cache_quantum=cache_quantum,
-            workers=workers,
             tracer=tracer,
         )
         self.duration_aware = self.policy_name in ("srsf", "srtf", "sjf")
@@ -135,19 +125,13 @@ class MuriScheduler(Scheduler):
         self,
         tracer: Optional[Tracer] = None,
         event_regroup: Optional[bool] = None,
-        workers: Optional[int] = None,
     ) -> "MuriScheduler":
         """Apply the uniform options, threading them into the grouper.
-
-        The grouper's process pool is created lazily on first parallel
-        dispatch, so adjusting ``workers`` here (before any decide())
-        is equivalent to having passed it to the constructor.
 
         Args:
             tracer: Tracer for decide() spans, group events, and
                 per-job provenance; also attached to the grouper.
             event_regroup: Toggle the full-pass-on-event mode.
-            workers: Grouper process-pool width.
 
         Returns:
             ``self``.
@@ -157,8 +141,6 @@ class MuriScheduler(Scheduler):
             self.grouper.tracer = tracer
         if event_regroup is not None:
             self.event_regroup = event_regroup
-        if workers is not None:
-            self.grouper.workers = workers
         return self
 
     # -- scheduling -----------------------------------------------------------
@@ -410,10 +392,10 @@ class MuriScheduler(Scheduler):
           the new GPU-count buckets changed membership.
 
         The per-bucket cache keys would miss naturally (they embed the
-        node duration keys), but dropping the affected buckets
-        explicitly keeps the invalidation robust to future key
-        coarsening (``cache_quantum``) and is what the cold-vs-warm
-        resize oracle in :mod:`repro.verify.elastic` certifies.
+        node durations), but dropping the affected buckets explicitly
+        keeps the invalidation independent of what the keys embed and
+        is what the cold-vs-warm resize oracle in
+        :mod:`repro.verify.elastic` certifies.
         """
         self._plan_memo = None
         cached = getattr(self, "_cached_overflow", None)
@@ -434,10 +416,6 @@ class MuriScheduler(Scheduler):
         self._cached_overflow: List[JobGroup] = []
         self._plan_memo = None
         self.grouper.reset_caches()
-
-    def close(self) -> None:
-        """Release the grouper's worker pool (no-op when serial)."""
-        self.grouper.close()
 
     # -- internals ---------------------------------------------------------------
 

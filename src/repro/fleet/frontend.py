@@ -159,9 +159,9 @@ class FleetFrontEnd:
             tracer: Shared tracer for the fleet's own events; shards
                 get their own (aggregated on drain) when tracing.
             **shard_options: Forwarded to :func:`make_shard` — the
-                :func:`make_scheduler` keywords (``event_regroup``,
-                ``workers``...), ``max_pending``, ``clock``,
-                ``simulator_options``, and scheduler constructor args.
+                :func:`make_scheduler` keyword ``event_regroup``,
+                ``max_pending``, ``clock``, ``simulator_options``, and
+                scheduler constructor args.
         """
         shards = [
             make_shard(vc, scheduler=scheduler, **shard_options)

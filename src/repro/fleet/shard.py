@@ -9,7 +9,7 @@ bit-identical to running each VC serially (the
 
 :func:`make_shard` is the factory; it shares
 :func:`~repro.schedulers.make_scheduler`'s keyword signature
-(``tracer``, ``event_regroup``, ``workers``) so a shard is constructed
+(``tracer``, ``event_regroup``) so a shard is constructed
 exactly like a standalone scheduler — there is no post-construction
 special-casing left.
 """
@@ -69,7 +69,6 @@ def make_shard(
     profiler: Optional[ResourceProfiler] = None,
     tracer: Optional[Tracer] = None,
     event_regroup: Optional[bool] = None,
-    workers: Optional[int] = None,
     max_pending: int = 1024,
     clock: Optional[object] = None,
     simulator_options: Optional[Dict[str, Any]] = None,
@@ -91,7 +90,6 @@ def make_shard(
             simulator, and daemon.
         event_regroup: Full decision pass on arrival/completion
             events (Muri); ignored by policies without one.
-        workers: Parallel-internals width (Muri's grouper pool).
         max_pending: The shard daemon's admission bound.
         clock: Pacing clock for the daemon loop; defaults to a
             deterministic :class:`~repro.service.clock.VirtualClock`.
@@ -105,7 +103,6 @@ def make_shard(
         profiler=profiler,
         tracer=tracer,
         event_regroup=event_regroup,
-        workers=workers,
         **scheduler_options,
     )
     sim_kwargs: Dict[str, Any] = dict(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
-from repro.jobs.resources import NUM_RESOURCES, RESOURCE_ORDER, Resource
+from repro.jobs.resources import NUM_RESOURCES, Resource
 
 __all__ = ["Stage", "StageProfile"]
 
@@ -132,19 +132,6 @@ class StageProfile:
         the paper with a single job).  Cached at construction.
         """
         return self._iteration_time  # type: ignore[attr-defined]
-
-    def durations_key(self, quantum: float = 0.0) -> Tuple[float, ...]:
-        """A hashable cache key for this profile's durations.
-
-        With ``quantum == 0`` the key is the exact duration tuple.  A
-        positive ``quantum`` snaps every duration to that grid, so
-        profiles that differ only by measurement noise (e.g. the
-        perturbations of :mod:`repro.profiler.noise`) collapse onto the
-        same key and share cached grouping decisions.
-        """
-        if quantum > 0.0:
-            return tuple(round(d / quantum) * quantum for d in self.durations)
-        return self.durations
 
     @property
     def bottleneck(self) -> Resource:

@@ -53,7 +53,6 @@ class Scheduler(ABC):
         self,
         tracer: Optional["Tracer"] = None,
         event_regroup: Optional[bool] = None,
-        workers: Optional[int] = None,
     ) -> "Scheduler":
         """Apply the uniform post-construction options and return self.
 
@@ -70,8 +69,6 @@ class Scheduler(ABC):
             event_regroup: Run the full decision pass on
                 arrival/completion events (Muri); ignored by policies
                 without incremental state.
-            workers: Process-pool width for policies with parallel
-                internals (Muri's grouper); ignored elsewhere.
 
         Returns:
             ``self``, so construction chains:

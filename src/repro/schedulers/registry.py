@@ -94,7 +94,7 @@ def register_scheduler(
         name: Registry name for :func:`make_scheduler`.
         factory: Callable returning a new scheduler; extra
             ``make_scheduler`` kwargs are forwarded to it, and the
-            uniform options (tracer, event_regroup, workers) are
+            uniform options (tracer, event_regroup) are
             applied afterwards via ``Scheduler.configure``.
         replace: Allow overwriting an existing registration.
 
@@ -116,7 +116,6 @@ def make_scheduler(
     profiler: Optional[ResourceProfiler] = None,
     tracer: Optional[Tracer] = None,
     event_regroup: Optional[bool] = None,
-    workers: Optional[int] = None,
     **kwargs,
 ) -> Scheduler:
     """Instantiate a scheduler by registry name.
@@ -126,7 +125,7 @@ def make_scheduler(
     Every name — built-in or registered — is built the same way: the
     factory receives the constructor ``kwargs``, then
     :meth:`~repro.schedulers.base.Scheduler.configure` applies the
-    uniform options (``tracer``, ``event_regroup``, ``workers``).  The
+    uniform options (``tracer``, ``event_regroup``).  The
     fleet shard factory (:func:`repro.fleet.make_shard`) shares this
     exact keyword signature.
 
@@ -140,8 +139,6 @@ def make_scheduler(
         event_regroup: Run the full decision pass on arrival and
             completion events; ignored by policies without incremental
             state (see ``Scheduler.configure``).
-        workers: Parallel-internals width (Muri's grouper pool);
-            ignored elsewhere.
         **kwargs: Extra constructor arguments for Muri variants
             (``max_group_size``, ``matcher``, ``ordering``...).
 
@@ -158,6 +155,4 @@ def make_scheduler(
     if profiler is not None:
         kwargs["profiler"] = profiler
     scheduler = factory(**kwargs) if kwargs else factory()  # type: ignore[call-arg]
-    return scheduler.configure(
-        tracer=tracer, event_regroup=event_regroup, workers=workers
-    )
+    return scheduler.configure(tracer=tracer, event_regroup=event_regroup)

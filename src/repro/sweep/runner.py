@@ -9,7 +9,10 @@
 * **bounded retry with backoff** — crashed or timed-out cells are
   retried up to ``retries`` times with exponential backoff; cells that
   raise *inside* the simulation are recorded as errors immediately
-  (a deterministic exception would fail identically on retry);
+  (a deterministic exception would fail identically on retry).  A
+  crash breaks the whole pool without naming the culprit, so the cells
+  that were running are rerun one at a time and only a cell that
+  crashes alone is charged an attempt;
 * **graceful serial degradation** — ``max_workers=1`` executes cells
   in-process in submission order via the same
   :func:`~repro.sweep.execute.execute_run`, which is exactly the
@@ -266,40 +269,33 @@ class SweepRunner:
         """Process-pool execution with timeouts, retries, and rebuilds."""
         results: Dict[str, RunResult] = {}
         pending = deque(tasks)
+        # Suspects of a pool break, rerun one at a time before any
+        # pending task (see the break handling below); ``solo`` marks
+        # the one in-flight task as such a rerun.
+        isolated: deque = deque()
+        solo = False
         executor = self._new_pool()
         inflight: Dict[Any, Tuple[_Task, Optional[float]]] = {}
         try:
-            while pending or inflight:
-                while pending and len(inflight) < self.max_workers:
-                    task = pending.popleft()
-                    task.attempts += 1
-                    future = executor.submit(
-                        _worker_entry, task.kind, task.payload
-                    )
-                    deadline = (
-                        time.monotonic() + self.timeout
-                        if self.timeout is not None else None
-                    )
-                    inflight[future] = (task, deadline)
-                    self._emit(
-                        "sweep.run.submitted", run_id=task.run_id,
-                        attempt=task.attempts,
-                    )
+            while pending or isolated or inflight:
+                if not inflight:
+                    solo = bool(isolated)
+                    if solo:
+                        self._submit(executor, isolated.popleft(), inflight)
+                while not solo and pending and len(inflight) < self.max_workers:
+                    self._submit(executor, pending.popleft(), inflight)
 
                 done, _ = wait(
                     list(inflight), timeout=_POLL_INTERVAL,
                     return_when=FIRST_COMPLETED,
                 )
-                broken = False
+                suspects: List[_Task] = []
                 for future in done:
                     task, _deadline = inflight.pop(future)
                     try:
                         payload = future.result()
                     except BrokenProcessPool:
-                        broken = True
-                        self._requeue_or_fail(
-                            task, "worker process died", pending, results
-                        )
+                        suspects.append(task)
                         continue
                     results[task.run_id] = RunResult(
                         run_id=task.run_id,
@@ -312,16 +308,26 @@ class SweepRunner:
                     )
                     self._record_done(results[task.run_id])
 
-                if broken:
-                    # The pool is unusable: recover every in-flight
-                    # task (their work is lost, not their fault — no
-                    # attempt is charged) and start a fresh pool.
-                    for future, (task, _deadline) in inflight.items():
-                        task.attempts -= 1
-                        pending.appendleft(task)
+                if suspects:
+                    # The pool is unusable and its break names no
+                    # culprit: any task that was running — reported
+                    # broken or still in flight — may have killed the
+                    # worker.  A lone suspect is charged; several are
+                    # rerun one at a time, uncharged, so only a task
+                    # that breaks the pool while running alone pays.
+                    suspects.extend(task for task, _ in inflight.values())
                     inflight.clear()
                     executor.shutdown(wait=False, cancel_futures=True)
                     executor = self._new_pool()
+                    if len(suspects) == 1:
+                        self._requeue_or_fail(
+                            suspects[0], "worker process died",
+                            pending, results,
+                        )
+                    else:
+                        for task in suspects:
+                            task.attempts -= 1
+                        isolated.extend(suspects)
                     continue
 
                 if self.timeout is not None and inflight:
@@ -338,6 +344,18 @@ class SweepRunner:
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
         return results
+
+    def _submit(self, executor, task, inflight) -> None:
+        task.attempts += 1
+        future = executor.submit(_worker_entry, task.kind, task.payload)
+        deadline = (
+            time.monotonic() + self.timeout
+            if self.timeout is not None else None
+        )
+        inflight[future] = (task, deadline)
+        self._emit(
+            "sweep.run.submitted", run_id=task.run_id, attempt=task.attempts,
+        )
 
     def _handle_timeouts(self, executor, expired, inflight, pending, results):
         """Kill the pool to unstick hung workers; requeue the innocents."""

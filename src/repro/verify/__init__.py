@@ -23,7 +23,6 @@ from repro.verify.differential import (
     compare_dense_sparse,
     compare_groups_exact,
     compare_pairs_exact,
-    compare_parallel_serial,
     plan_signature,
 )
 from repro.verify.elastic import compare_flat_identity, run_elastic_oracle
@@ -71,7 +70,6 @@ __all__ = [
     "reference_best_period",
     "compare_dense_sparse",
     "compare_cold_cached",
-    "compare_parallel_serial",
     "compare_fleet_serial",
     "compare_pairs_exact",
     "compare_groups_exact",

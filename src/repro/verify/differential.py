@@ -13,10 +13,6 @@ correct implementations and compare:
   ordering / decision caches are warm from an identical previous call.
   The group sets must be *identical*: caching must never change a
   decision.
-* :func:`compare_parallel_serial` — process-pool per-bucket grouping
-  vs the serial path on the same jobs.  Groups, stage offsets and
-  total efficiency must be *bit-identical*: parallel dispatch is pure
-  plumbing and must never change a decision.
 * :func:`compare_pairs_exact` — blossom matching vs
   :func:`~repro.matching.exact.brute_force_matching` on the bucket's
   own edge weights.  Blossom is an exact algorithm, so the matched
@@ -77,7 +73,6 @@ __all__ = [
     "plan_signature",
     "compare_dense_sparse",
     "compare_cold_cached",
-    "compare_parallel_serial",
     "compare_pairs_exact",
     "compare_groups_exact",
     "IncrementalOracle",
@@ -107,24 +102,18 @@ def simulate(
     trace_name: str,
     **sim_kwargs,
 ) -> SimulationResult:
-    """Run ``specs`` through a fresh simulator; then close the scheduler.
+    """Run ``specs`` through a fresh simulator.
 
     Args:
-        scheduler: The scheduler under test; its ``close`` (worker
-            pools), if any, runs even when the simulation raises.
+        scheduler: The scheduler under test.
         specs: The workload.
         cluster: The cluster to run on.
         trace_name: Workload label stamped on the result.
         **sim_kwargs: Extra :class:`~repro.sim.ClusterSimulator`
             arguments.
     """
-    try:
-        simulator = ClusterSimulator(scheduler, cluster=cluster, **sim_kwargs)
-        return simulator.run(specs, trace_name=trace_name)
-    finally:
-        close = getattr(scheduler, "close", None)
-        if close is not None:
-            close()
+    simulator = ClusterSimulator(scheduler, cluster=cluster, **sim_kwargs)
+    return simulator.run(specs, trace_name=trace_name)
 
 
 def diff_results(a: SimulationResult, b: SimulationResult) -> List[str]:
@@ -219,31 +208,6 @@ def _check_result(result: GroupingResult, label: str) -> None:
                     details={"path": label, "job": job.job_id},
                 )
             seen.add(job.job_id)
-
-
-def _require_same_groups(
-    invariant: str,
-    sides: Dict[str, GroupingResult],
-    groups_message: str,
-    ordering_message: str,
-) -> None:
-    """Two groupings must form the same groups with the same offsets."""
-    (_, left), (_, right) = sides.items()
-    if group_sets(left) != group_sets(right):
-        raise InvariantViolation(
-            invariant,
-            groups_message,
-            details={
-                label: sorted(map(sorted, group_sets(result)))
-                for label, result in sides.items()
-            },
-        )
-    offsets_of = lambda result: {
-        frozenset(job.job_id for job in group.jobs): tuple(group.offsets)
-        for group in result.groups
-    }
-    if offsets_of(left) != offsets_of(right):
-        raise InvariantViolation(invariant, ordering_message, details={})
 
 
 def plan_signature(
@@ -363,12 +327,6 @@ class IncrementalOracle(Scheduler):
         if reset is not None:
             reset()
 
-    def close(self) -> None:
-        """Release the wrapped scheduler's resources (worker pools)."""
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
-
 
 def compare_dense_sparse(
     jobs: Sequence[Job],
@@ -458,17 +416,15 @@ def compare_dense_sparse(
 def compare_cold_cached(
     jobs: Sequence[Job],
     capacity: Optional[int] = None,
-    cache_quantum: float = 0.0,
     **grouper_kwargs,
 ) -> Tuple[GroupingResult, GroupingResult]:
     """A cold grouper vs a cache-warm one; decisions must be identical.
 
     The warm side runs the same input twice through one grouper, so the
     second call is served from the weight / ordering / incremental
-    decision caches (including quantized ``durations_key`` keys when
-    ``cache_quantum > 0``).  Any difference between the cold result and
-    the cache-served result means a cache key is too coarse or a cache
-    is leaking stale decisions.
+    decision caches.  Any difference between the cold result and the
+    cache-served result means a cache key is too coarse or a cache is
+    leaking stale decisions.
 
     Returns:
         ``(cold_result, cached_result)`` once equality holds.
@@ -476,83 +432,32 @@ def compare_cold_cached(
     Raises:
         InvariantViolation: With invariant ``differential.cache``.
     """
-    cold = MultiRoundGrouper(
-        cache_quantum=cache_quantum, **grouper_kwargs
-    ).group(jobs, capacity=capacity)
+    cold = MultiRoundGrouper(**grouper_kwargs).group(jobs, capacity=capacity)
 
-    warm_grouper = MultiRoundGrouper(
-        cache_quantum=cache_quantum, **grouper_kwargs
-    )
+    warm_grouper = MultiRoundGrouper(**grouper_kwargs)
     warm_grouper.group(jobs, capacity=capacity)
     cached = warm_grouper.group(jobs, capacity=capacity)
 
-    _require_same_groups(
-        "differential.cache",
-        {"cold": cold, "cached": cached},
-        "cache-served grouping disagrees with the cold path",
-        "cache-served grouping changed a group's stage ordering",
-    )
-    return cold, cached
-
-
-def compare_parallel_serial(
-    jobs: Sequence[Job],
-    capacity: Optional[int] = None,
-    workers: int = 2,
-    **grouper_kwargs,
-) -> Tuple[GroupingResult, GroupingResult]:
-    """Serial vs process-pool grouping; plans must be bit-identical.
-
-    Per-bucket matchings dispatched to worker processes depend only on
-    their own bucket's payload, and results are merged in
-    ``bucket_order``, so the parallel grouper must reproduce the serial
-    plan exactly — same groups, same stage offsets, same total
-    efficiency.  Any divergence means the worker payload dropped
-    decision-relevant state (and would silently change schedules).
-
-    Args:
-        jobs: The job set (priority order), handed to both groupers.
-        capacity: Cluster GPU capacity handed to both groupers.
-        workers: Pool width of the parallel side (>= 2).
-        **grouper_kwargs: Extra :class:`MultiRoundGrouper` settings
-            applied to both sides.
-
-    Returns:
-        ``(serial_result, parallel_result)`` once equality holds.
-
-    Raises:
-        InvariantViolation: With invariant ``differential.parallel``.
-    """
-    serial = MultiRoundGrouper(workers=1, **grouper_kwargs).group(
-        jobs, capacity=capacity
-    )
-    parallel_grouper = MultiRoundGrouper(workers=workers, **grouper_kwargs)
-    try:
-        parallel = parallel_grouper.group(jobs, capacity=capacity)
-    finally:
-        parallel_grouper.close()
-
-    _check_result(serial, "serial")
-    _check_result(parallel, "parallel")
-
-    _require_same_groups(
-        "differential.parallel",
-        {"serial": serial, "parallel": parallel},
-        f"parallel grouping (workers={workers}) formed different "
-        f"groups than the serial path",
-        "parallel grouping changed a group's stage ordering",
-    )
-    if abs(serial.total_efficiency - parallel.total_efficiency) > 0.0:
+    if group_sets(cold) != group_sets(cached):
         raise InvariantViolation(
-            "differential.parallel",
-            f"parallel total efficiency {parallel.total_efficiency!r} "
-            f"differs from serial {serial.total_efficiency!r}",
+            "differential.cache",
+            "cache-served grouping disagrees with the cold path",
             details={
-                "serial": serial.total_efficiency,
-                "parallel": parallel.total_efficiency,
+                "cold": sorted(map(sorted, group_sets(cold))),
+                "cached": sorted(map(sorted, group_sets(cached))),
             },
         )
-    return serial, parallel
+    offsets_of = lambda result: {
+        frozenset(job.job_id for job in group.jobs): tuple(group.offsets)
+        for group in result.groups
+    }
+    if offsets_of(cold) != offsets_of(cached):
+        raise InvariantViolation(
+            "differential.cache",
+            "cache-served grouping changed a group's stage ordering",
+            details={},
+        )
+    return cold, cached
 
 
 def compare_pairs_exact(

@@ -5,7 +5,7 @@ is pure plumbing: because shards share nothing, the jobs the front-end
 routed to a virtual cluster must finish with *bit-identical* results
 to submitting that exact stream to a standalone daemon built the same
 way.  :func:`compare_fleet_serial` enforces the claim, in the same
-style as :func:`repro.verify.compare_parallel_serial`: any divergence
+style as :func:`repro.verify.compare_cold_cached`: any divergence
 raises :class:`~repro.verify.invariants.InvariantViolation` with
 invariant ``differential.fleet``.
 

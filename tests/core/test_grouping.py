@@ -329,25 +329,21 @@ class TestLazyTotalEfficiency:
         [
             ({"sparsify_threshold": None}, 40),  # dense
             ({"sparsify_threshold": 16}, 40),  # sparse
-            ({"sparsify_threshold": 16, "workers": 2}, 72),  # parallel
         ],
-        ids=["dense", "sparse", "parallel"],
+        ids=["dense", "sparse"],
     )
     def test_equals_eager_sum_bit_for_bit(self, kwargs, count):
         jobs = _queue(seed=count, count=count, gpu_choices=(1, 2))
         grouper = MultiRoundGrouper(**kwargs)
-        try:
-            result = grouper.group(jobs, capacity=8)
-            eager = _eager_total_efficiency(result.groups)
-            assert any(group.size > 1 for group in result.groups)
-            # Later calls reuse groups and refill every cache; the
-            # value read afterwards must still be the eager one.
-            grouper.group(list(reversed(jobs)), capacity=8)
-            grouper.group(jobs[: count // 2], capacity=4)
-            assert result.total_efficiency == eager
-            assert result.total_efficiency == eager
-        finally:
-            grouper.close()
+        result = grouper.group(jobs, capacity=8)
+        eager = _eager_total_efficiency(result.groups)
+        assert any(group.size > 1 for group in result.groups)
+        # Later calls reuse groups and refill every cache; the value
+        # read afterwards must still be the eager one.
+        grouper.group(list(reversed(jobs)), capacity=8)
+        grouper.group(jobs[: count // 2], capacity=4)
+        assert result.total_efficiency == eager
+        assert result.total_efficiency == eager
 
     def test_grouping_pass_does_not_evaluate_efficiency(self, monkeypatch):
         calls = []

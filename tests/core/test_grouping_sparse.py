@@ -7,8 +7,8 @@ Three contracts from "Decision latency and scaling"
   to the dense algorithm (the dense fallback guarantee);
 * at and above the threshold it stays within 2% of the dense
   grouping's total efficiency;
-* the incremental decision cache and the quantized weight cache only
-  change latency, never feasibility invariants.
+* the incremental decision cache and the weight cache only change
+  latency, never feasibility invariants.
 """
 
 import random
@@ -110,22 +110,8 @@ class TestDecisionCache:
         assert grouping_plan(shrunk) != grouping_plan(first)
 
 
-class TestQuantizedCache:
-    def test_quantum_collapses_noisy_profiles(self):
-        base = StageProfile((0.40, 0.20, 0.30, 0.10))
-        noisy = StageProfile((0.401, 0.199, 0.300, 0.101))
-        jobs = [
-            Job(JobSpec(profile=p, num_iterations=50))
-            for p in (base, noisy, base, noisy)
-        ]
-        grouper = MultiRoundGrouper(cache_quantum=0.01)
-        grouper.group(jobs)
-        # All four jobs share one quantized key, so the pairwise weight
-        # computations collapse to the distinct key multisets.
-        keys = {key for key in grouper._weight_cache}
-        assert len(keys) <= 3
-
-    def test_zero_quantum_keeps_exact_keys(self):
+class TestWeightCache:
+    def test_nearby_profiles_keep_exact_keys(self):
         base = StageProfile((0.40, 0.20, 0.30, 0.10))
         noisy = StageProfile((0.401, 0.199, 0.300, 0.101))
         jobs = [
@@ -137,10 +123,3 @@ class TestQuantizedCache:
         assert len(result.groups) == 1
         key = next(iter(grouper._weight_cache))
         assert base.durations in key and noisy.durations in key
-
-    def test_quantized_grouping_keeps_invariants(self):
-        jobs = random_jobs(60, 11)
-        result = MultiRoundGrouper(cache_quantum=0.005).group(jobs, capacity=16)
-        seen = [job.job_id for group in result.groups for job in group.jobs]
-        assert sorted(seen) == sorted(job.job_id for job in jobs)
-        assert result.total_gpu_demand == 16

@@ -120,29 +120,6 @@ class TestStageProfileTransforms:
         assert profile.duration(Resource.STORAGE) == 1.23
 
 
-class TestDurationsKey:
-    def test_zero_quantum_is_exact(self):
-        profile = StageProfile((0.123456, 0.2, 0.3, 0.4))
-        assert profile.durations_key() == profile.durations
-        assert profile.durations_key(0.0) is profile.durations
-
-    def test_quantum_snaps_to_grid(self):
-        profile = StageProfile((0.123, 0.207, 0.0, 0.395))
-        assert profile.durations_key(0.01) == pytest.approx(
-            (0.12, 0.21, 0.0, 0.40)
-        )
-
-    def test_nearby_profiles_share_a_key(self):
-        a = StageProfile((0.401, 0.199, 0.300, 0.100))
-        b = StageProfile((0.399, 0.201, 0.299, 0.101))
-        assert a.durations_key(0.01) == b.durations_key(0.01)
-        assert a.durations_key(0.0) != b.durations_key(0.0)
-
-    def test_key_is_hashable(self):
-        profile = StageProfile((0.4, 0.2, 0.3, 0.1))
-        assert {profile.durations_key(0.05): True}
-
-
 class TestIterationTimeCaching:
     def test_cached_at_construction(self):
         profile = StageProfile((0.6, 0.18, 0.06, 0.02))

@@ -100,13 +100,16 @@ def test_make_scheduler_configures_tracer_on_baselines():
 
 
 def test_configure_uniform_signature():
-    # The one factory signature: unknown-to-the-policy options are
-    # accepted and ignored instead of raising.
-    scheduler = make_scheduler("fifo", event_regroup=True, workers=4)
+    # The one factory signature: unknown-to-the-policy uniform options
+    # are accepted and ignored instead of raising.
+    scheduler = make_scheduler("fifo", event_regroup=True)
     assert scheduler.name == "FIFO"
-    muri = make_scheduler("muri-s", event_regroup=True, workers=3)
+    muri = make_scheduler("muri-s", event_regroup=True)
     assert muri.event_regroup is True
-    assert muri.grouper.workers == 3
+    # ``workers`` is no longer an option at all, so it is rejected
+    # rather than silently ignored.
+    with pytest.raises(TypeError):
+        make_scheduler("muri-s", workers=2)
 
 
 def test_configure_returns_self_and_chains():

@@ -226,6 +226,45 @@ def test_crashed_worker_is_retried_then_failed(monkeypatch):
     assert tracer.counters["sweep.runs.failed"] == 1
 
 
+def test_crash_is_not_charged_to_a_running_neighbour(monkeypatch, tmp_path):
+    # The crasher waits until the good cell is running, writes the
+    # sentinel and dies; the good cell blocks until the pool kills it
+    # unless the sentinel already exists when it starts.  So the good
+    # cell is always in flight when the pool breaks, and completes as
+    # soon as it runs after the crash.
+    started = tmp_path / "good-started"
+    crashed = tmp_path / "crashed"
+
+    def fake(spec):
+        if spec.label == "crash":
+            deadline = time.monotonic() + 30.0
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            crashed.touch()
+            os._exit(13)
+        if not crashed.exists():
+            started.touch()
+            time.sleep(60.0)
+        return _fake_sim(spec)
+
+    _patch_execute(monkeypatch, fake)
+    tracer = Tracer()
+    specs = [_spec("good-1", 1), _spec("crash", 2)]
+    runner = SweepRunner(
+        max_workers=2, retries=0, backoff=0.0,
+        mp_context=FORK, tracer=tracer,
+    )
+    results = runner.run(specs)
+    good = results[specs[0].run_id]
+    assert good.ok
+    assert good.attempts == 1
+    crash = results[specs[1].run_id]
+    assert not crash.ok
+    assert "worker process died" in crash.error
+    assert crash.attempts == 1
+    assert tracer.counters["sweep.runs.failed"] == 1
+
+
 def test_hung_worker_times_out(monkeypatch):
     _patch_execute(monkeypatch, _hang_on_hang_label)
     tracer = Tracer()

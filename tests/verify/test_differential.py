@@ -100,14 +100,6 @@ class TestColdCached:
         cold, cached = compare_cold_cached(jobs)
         assert group_sets(cold) == group_sets(cached)
 
-    def test_quantized_durations_key_path(self):
-        # cache_quantum > 0 exercises the quantized durations_key
-        # lookups; served decisions must still be identical.
-        rng = random.Random(6)
-        jobs = jobs_from_rows(random_rows(rng, 30))
-        cold, cached = compare_cold_cached(jobs, cache_quantum=0.05)
-        assert group_sets(cold) == group_sets(cached)
-
 
 class TestGroupsExact:
     def test_heuristic_within_bound_of_optimum(self):
@@ -191,13 +183,3 @@ class TestScheduleDiff:
             gpus_by_type={"v100": 8},
         )
         assert diff_results(schedule, twin) == []
-
-    def test_simulate_closes_the_scheduler(self):
-        scheduler = make_scheduler("fifo")
-        closed = []
-        scheduler.close = lambda: closed.append(True)
-        spec = JobSpec(profile=StageProfile((1.0, 1.0, 1.0, 1.0)),
-                       num_iterations=5)
-        result = simulate(scheduler, [spec], Cluster(1, 1), "one")
-        assert result.num_jobs == 1
-        assert closed == [True]
